@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "linalg/bitmatrix.hpp"
 #include "linalg/decoder.hpp"
 
 namespace ncdn {
@@ -54,12 +53,11 @@ class span_strategy final : public decoder_strategy {
   std::size_t items() const override { return dec_.coeff_dim(); }
   std::size_t item_bits() const override { return dec_.payload_bits(); }
 
-  void prepare_emit() const override {}  // insert() reduces eagerly
   bool grouped() const override { return false; }
   std::size_t group_count() const override { return 1; }
   group_ref group(std::size_t gi) const override {
     NCDN_EXPECTS(gi == 0);
-    return {0, dec_.coeff_dim(), /*narrow=*/false, &dec_.basis()};
+    return {0, dec_.coeff_dim(), /*narrow=*/false, &dec_};
   }
 
  private:
@@ -67,16 +65,16 @@ class span_strategy final : public decoder_strategy {
 };
 
 // Generation-windowed elimination.  Generation j owns the token window
-// [j*g, min(j*g + g + w, k)); arrivals whose support fits a window batch in
-// `pending` and one gf2_rref pass per touched generation per query folds
-// them in (re-reducing an RREF basis costs zero XORs, so laziness is free).
+// [j*g, min(j*g + g + w, k)) and one incremental bit_decoder; an arrival
+// whose support fits a window is eliminated by that window's decoder on
+// insert (rows in a shared band reach both windows).
 //
-// narrow_ == true is the banded-pivot eliminator: rows are stored
-// [window | payload] and pivots never leave the g+w window, so every
+// narrow_ == true is the banded-pivot eliminator: the decoder's columns
+// are the window itself, rows are stored [window | payload], and every
 // elimination XOR touches g+w+d bits.  narrow_ == false is the generic
 // rref baseline over the same generation structure: identical row spaces,
-// identical draws, but rows stay full wire width and every XOR pays k+d
-// bits — the comparison BENCH_E22 quantifies.
+// identical draws, but the decoder spans all k coefficient columns and
+// every XOR pays k+d bits — the comparison BENCH_E22 quantifies.
 class grouped_strategy final : public decoder_strategy {
  public:
   grouped_strategy(std::size_t items, std::size_t item_bits,
@@ -84,16 +82,16 @@ class grouped_strategy final : public decoder_strategy {
                    bool narrow)
       : items_(items),
         item_bits_(item_bits),
+        gen_size_(gen_size),
         narrow_(narrow),
-        decoded_(items),
-        decoded_gen_(items, 0) {
+        decoded_(items) {
     NCDN_EXPECTS(gen_size >= 1);
     NCDN_EXPECTS(band_overlap <= gen_size);
     for (std::size_t start = 0; start < items; start += gen_size) {
-      generation g;
-      g.start = start;
-      g.width = std::min(gen_size + band_overlap, items - start);
-      gens_.push_back(std::move(g));
+      const std::size_t width =
+          std::min(gen_size + band_overlap, items - start);
+      gens_.push_back(
+          {start, width, bit_decoder(narrow ? width : items, item_bits)});
     }
   }
 
@@ -113,112 +111,88 @@ class grouped_strategy final : public decoder_strategy {
           bitvec slim(g.width + item_bits_);
           slim.copy_bits_from(row, g.start, g.width, 0);
           slim.copy_bits_from(row, items_, item_bits_, g.width);
-          g.pending.push_back(std::move(slim));
+          absorb(g, std::move(slim));
         } else {
-          g.pending.push_back(row);
+          absorb(g, row);
         }
       }
     }
   }
 
-  std::size_t rank() const override {
-    reduce_all();
-    return decoded_count_;
-  }
-  bool complete() const override {
-    reduce_all();
-    return decoded_count_ == items_;
-  }
+  std::size_t rank() const override { return decoded_count_; }
+  bool complete() const override { return decoded_count_ == items_; }
   bool can_decode(std::size_t i) const override {
     NCDN_EXPECTS(i < items_);
-    reduce_all();
     return decoded_.get(i);
   }
 
   bitvec decode(std::size_t i) const override {
     NCDN_EXPECTS(can_decode(i));
-    // decoded_gen_ pins the generation that first produced the singleton
-    // (a singleton RREF row is stable under further reduction), so this is
-    // an indexed lookup like bit_decoder's pivot_row_, not a row scan.
-    const generation& g = gens_[decoded_gen_[i]];
-    const std::size_t local = narrow_ ? i - g.start : i;
-    const auto it =
-        std::lower_bound(g.pivots.begin(), g.pivots.end(), local);
-    NCDN_ASSERT(it != g.pivots.end() && *it == local);
-    const std::size_t r =
-        static_cast<std::size_t>(it - g.pivots.begin());
-    const std::size_t coeff_bits = narrow_ ? g.width : items_;
-    NCDN_ASSERT(g.rows[r].popcount_below(coeff_bits) == 1);
-    return g.rows[r].slice(coeff_bits, item_bits_);
+    // Token i sits in its own generation's window and, through the shared
+    // band, possibly in the previous one; one of the two decodes it.
+    const std::size_t own = i / gen_size_;
+    for (std::size_t gi = own > 0 ? own - 1 : 0; gi <= own; ++gi) {
+      const generation& g = gens_[gi];
+      if (i >= g.start + g.width) continue;
+      const std::size_t c = column(g, i);
+      if (g.dec.can_decode(c)) return g.dec.decode(c);
+    }
+    NCDN_ASSERT(false);  // decoded_ is set only for decodable tokens
+    return {};
   }
 
-  std::size_t decode_progress() const override {
-    reduce_all();
-    return decoded_count_;
+  std::size_t decode_progress() const override { return decoded_count_; }
+  std::uint64_t xor_word_ops() const override {
+    std::uint64_t total = 0;
+    for (const generation& g : gens_) total += g.dec.xor_word_ops();
+    return total;
   }
-  std::uint64_t xor_word_ops() const override { return xor_words_; }
 
   std::size_t items() const override { return items_; }
   std::size_t item_bits() const override { return item_bits_; }
 
-  void prepare_emit() const override { reduce_all(); }
   bool grouped() const override { return true; }
   std::size_t group_count() const override { return gens_.size(); }
   group_ref group(std::size_t gi) const override {
     NCDN_EXPECTS(gi < gens_.size());
     const generation& g = gens_[gi];
-    return {g.start, g.width, narrow_, &g.rows};
+    return {g.start, g.width, narrow_, &g.dec};
   }
 
  private:
   struct generation {
     std::size_t start = 0;
     std::size_t width = 0;
-    std::vector<bitvec> rows;     // reduced (RREF) basis
-    std::vector<std::size_t> pivots;
-    std::vector<bitvec> pending;  // arrivals since the last batch decode
+    bit_decoder dec;
   };
 
-  void reduce_all() const {
-    for (std::size_t gi = 0; gi < gens_.size(); ++gi) reduce(gi);
+  /// Decoder column of token i in generation g.
+  std::size_t column(const generation& g, std::size_t i) const {
+    return narrow_ ? i - g.start : i;
   }
 
-  void reduce(std::size_t gi) const {
-    generation& g = gens_[gi];  // gens_ is mutable
-    if (g.pending.empty()) return;
-    std::vector<bitvec> rows = std::move(g.rows);
-    rows.reserve(rows.size() + g.pending.size());
-    for (bitvec& row : g.pending) rows.push_back(std::move(row));
-    g.pending.clear();
-    g.pivots = gf2_rref(rows, &xor_words_);
-    g.rows = std::move(rows);
-    // Newly decodable tokens: a basis row whose coefficients reduce to a
-    // singleton pins down one original (decodability is monotone, so
-    // set-once bookkeeping suffices).
-    const std::size_t coeff_bits = narrow_ ? g.width : items_;
-    for (std::size_t r = 0; r < g.rows.size(); ++r) {
-      if (g.rows[r].popcount_below(coeff_bits) == 1) {
-        const std::size_t token =
-            narrow_ ? g.start + g.pivots[r] : g.pivots[r];
-        if (!decoded_.get(token)) {
-          decoded_.set(token);
-          decoded_gen_[token] = gi;
-          ++decoded_count_;
-        }
+  // Eliminates one arrival in g.  Decodability is monotone and tokens in a
+  // shared band may decode in either window, so newly decodable tokens are
+  // recorded once, by scanning the window when g's singleton count grows.
+  void absorb(generation& g, bitvec row) {
+    const std::size_t before = g.dec.decodable_count();
+    g.dec.insert(std::move(row));
+    if (g.dec.decodable_count() == before) return;
+    for (std::size_t i = g.start; i < g.start + g.width; ++i) {
+      if (!decoded_.get(i) && g.dec.can_decode(column(g, i))) {
+        decoded_.set(i);
+        ++decoded_count_;
       }
     }
   }
 
   std::size_t items_;
   std::size_t item_bits_;
+  std::size_t gen_size_;
   bool narrow_;
-  mutable std::vector<generation> gens_;  // lazily batch-reduced
-  mutable bitvec decoded_;
-  // For token i with decoded_.get(i): index of the generation whose basis
-  // holds its singleton row (decode's O(1)-ish lookup path).
-  mutable std::vector<std::size_t> decoded_gen_;
-  mutable std::size_t decoded_count_ = 0;
-  mutable std::uint64_t xor_words_ = 0;
+  std::vector<generation> gens_;
+  bitvec decoded_;  // tokens decodable in some window
+  std::size_t decoded_count_ = 0;
 };
 
 // --- emission helpers -------------------------------------------------------
@@ -227,37 +201,43 @@ bool include_row(rng& r, bool dense, double rho) {
   return dense ? r.coin() : r.bernoulli(rho);
 }
 
-// Coin/Bernoulli-combines one group's reduced rows into a full wire row.
-// Narrow groups combine narrow then widen (every combination XOR is window
-// wide — the generation coder's draw and accounting, verbatim); full-width
-// groups XOR wire rows directly.
-bitvec combine_group(const decoder_strategy& dec,
-                     const decoder_strategy::group_ref& g, rng& r,
-                     word_arena* pool, std::uint64_t* xor_words, bool dense,
-                     double rho) {
-  const std::size_t items = dec.items();
-  const std::size_t item_bits = dec.item_bits();
-  if (g.narrow) {
-    bitvec slim = make_row(pool, g.width + item_bits);
-    for (const bitvec& row : *g.rows) {
-      if (include_row(r, dense, rho)) {
-        slim.xor_with(row);
-        *xor_words += slim.words().size();
-      }
-    }
-    bitvec out = make_row(pool, items + item_bits);
-    out.copy_bits_from(slim, 0, g.width, g.start);
-    out.copy_bits_from(slim, g.width, item_bits, items);
-    if (pool != nullptr) pool->recycle(std::move(slim));
-    return out;
-  }
-  bitvec out = make_row(pool, items + item_bits);
-  for (const bitvec& row : *g.rows) {
+// The full-span draw: coin/Bernoulli over basis() in storage order.
+bitvec combine_span(const bit_decoder& dec, rng& r, word_arena* pool,
+                    std::uint64_t* xor_words, bool dense, double rho) {
+  bitvec out = make_row(pool, dec.row_bits());
+  for (const bitvec& row : dec.basis()) {
     if (include_row(r, dense, rho)) {
       out.xor_with(row);
       *xor_words += out.words().size();
     }
   }
+  return out;
+}
+
+// Coin/Bernoulli-combines one generation's basis rows, in pivot order, into
+// a full wire row.  Narrow groups combine narrow then widen (every
+// combination XOR is window wide — the generation coder's draw and
+// accounting, verbatim); full-width groups XOR wire rows directly.
+bitvec combine_generation(const decoder_strategy& dec,
+                          const decoder_strategy::group_ref& g, rng& r,
+                          word_arena* pool, std::uint64_t* xor_words,
+                          bool dense, double rho) {
+  const std::size_t first = g.narrow ? 0 : g.start;  // window's first column
+  bitvec acc = make_row(pool, g.dec->row_bits());
+  for (std::size_t c = first; c < first + g.width; ++c) {
+    const bitvec* row = g.dec->pivot_row(c);
+    if (row != nullptr && include_row(r, dense, rho)) {
+      acc.xor_with(*row);
+      *xor_words += acc.words().size();
+    }
+  }
+  if (!g.narrow) return acc;
+  const std::size_t items = dec.items();
+  const std::size_t item_bits = dec.item_bits();
+  bitvec out = make_row(pool, items + item_bits);
+  out.copy_bits_from(acc, 0, g.width, g.start);
+  out.copy_bits_from(acc, g.width, item_bits, items);
+  if (pool != nullptr) pool->recycle(std::move(acc));
   return out;
 }
 
@@ -268,24 +248,23 @@ bitvec combine_group(const decoder_strategy& dec,
 std::optional<bitvec> coin_emit(const decoder_strategy& dec, rng& r,
                                 word_arena* pool, std::uint64_t* xor_words,
                                 bool dense, double rho) {
-  dec.prepare_emit();
   if (!dec.grouped()) {
-    const decoder_strategy::group_ref g = dec.group(0);
-    if (g.rows->empty()) return std::nullopt;
-    return combine_group(dec, g, r, pool, xor_words, dense, rho);
+    const bit_decoder& span = *dec.group(0).dec;
+    if (span.rank() == 0) return std::nullopt;
+    return combine_span(span, r, pool, xor_words, dense, rho);
   }
   const std::size_t gc = dec.group_count();
   std::size_t live = 0;
   for (std::size_t gi = 0; gi < gc; ++gi) {
-    if (!dec.group(gi).rows->empty()) ++live;
+    if (dec.group(gi).dec->rank() != 0) ++live;
   }
   if (live == 0) return std::nullopt;
   std::size_t pick = r.below(live);
   for (std::size_t gi = 0; gi < gc; ++gi) {
     const decoder_strategy::group_ref g = dec.group(gi);
-    if (g.rows->empty()) continue;
+    if (g.dec->rank() == 0) continue;
     if (pick-- == 0) {
-      return combine_group(dec, g, r, pool, xor_words, dense, rho);
+      return combine_generation(dec, g, r, pool, xor_words, dense, rho);
     }
   }
   NCDN_ASSERT(false);  // pick < live
@@ -355,9 +334,11 @@ class feedback_schedule final : public encoder_schedule {
  public:
   bool wants_feedback() const override { return true; }
   void observe_feedback(const std::vector<std::uint32_t>& deficits) override {
-    if (pending_.size() < deficits.size()) pending_.resize(deficits.size(), 0);
+    if (reported_.size() < deficits.size()) {
+      reported_.resize(deficits.size(), 0);
+    }
     for (std::size_t gi = 0; gi < deficits.size(); ++gi) {
-      pending_[gi] += deficits[gi];
+      reported_[gi] += deficits[gi];
     }
     fresh_ = true;
   }
@@ -365,10 +346,9 @@ class feedback_schedule final : public encoder_schedule {
   std::optional<bitvec> emit(const decoder_strategy& dec, rng& r,
                              word_arena* pool,
                              std::uint64_t* xor_words) override {
-    dec.prepare_emit();
     if (fresh_) {
-      active_ = pending_;
-      std::fill(pending_.begin(), pending_.end(), 0);
+      active_ = reported_;
+      std::fill(reported_.begin(), reported_.end(), 0);
       fresh_ = false;
     }
     const std::size_t gc = dec.group_count();
@@ -376,7 +356,7 @@ class feedback_schedule final : public encoder_schedule {
     std::size_t best = npos;
     std::uint64_t best_deficit = 0;
     for (std::size_t gi = 0; gi < gc; ++gi) {
-      if (dec.group(gi).rows->empty()) continue;
+      if (dec.group(gi).dec->rank() == 0) continue;
       ++live;
       const std::uint64_t d = gi < active_.size() ? active_[gi] : 0;
       if (d > best_deficit) {
@@ -386,15 +366,16 @@ class feedback_schedule final : public encoder_schedule {
     }
     if (live == 0) return std::nullopt;
     if (best != npos) {
-      return combine_group(dec, dec.group(best), r, pool, xor_words,
-                           /*dense=*/true, 0.5);
+      return combine_generation(dec, dec.group(best), r, pool, xor_words,
+                                /*dense=*/true, 0.5);
     }
     std::size_t pick = r.below(live);
     for (std::size_t gi = 0; gi < gc; ++gi) {
       const decoder_strategy::group_ref g = dec.group(gi);
-      if (g.rows->empty()) continue;
+      if (g.dec->rank() == 0) continue;
       if (pick-- == 0) {
-        return combine_group(dec, g, r, pool, xor_words, /*dense=*/true, 0.5);
+        return combine_generation(dec, g, r, pool, xor_words, /*dense=*/true,
+                                  0.5);
       }
     }
     NCDN_ASSERT(false);
@@ -402,7 +383,7 @@ class feedback_schedule final : public encoder_schedule {
   }
 
  private:
-  std::vector<std::uint64_t> pending_;  // reports since the last emit
+  std::vector<std::uint64_t> reported_;  // reports since the last emit
   std::vector<std::uint64_t> active_;   // the batch steering this emit
   bool fresh_ = false;
 };
@@ -447,12 +428,11 @@ class matrix_coder final : public node_coder {
 
   const std::vector<std::uint32_t>* deficit_report() override {
     if (!sched_->wants_feedback()) return nullptr;
-    dec_->prepare_emit();
     const std::size_t gc = dec_->group_count();
     report_.assign(gc, 0);
     for (std::size_t gi = 0; gi < gc; ++gi) {
       const decoder_strategy::group_ref g = dec_->group(gi);
-      const std::size_t have = g.rows->size();
+      const std::size_t have = g.dec->rank();
       report_[gi] =
           static_cast<std::uint32_t>(g.width > have ? g.width - have : 0);
     }

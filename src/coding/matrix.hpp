@@ -1,11 +1,8 @@
 // The (encoder schedule × decoder strategy) coding matrix.
 //
-// PR 3's backends coupled *what a node sends* to *how it eliminates*: the
-// dense/sparse coders emitted from one full-span RREF basis, and the
-// generation coder both stored narrow rows and drew banded combinations.
-// This header splits the two concerns (sparsenc keeps five decoders and a
-// generation scheduler orthogonal; Costa et al. schedule transmissions for
-// minimum decoding delay):
+// What a node sends and how it eliminates are separate concerns (sparsenc
+// keeps five decoders and a generation scheduler orthogonal; Costa et al.
+// schedule transmissions for minimum decoding delay):
 //
 //   encoder_schedule — what a node puts on the air each round:
 //     dense       coin per basis row (the paper's §5.1 draw)
@@ -20,23 +17,27 @@
 //                 toward the largest deficit their neighbors reported
 //                 instead of drawing uniformly
 //
-//   decoder_strategy — how arrivals are eliminated and queried:
+//   decoder_strategy — how arrivals are eliminated and queried.  Every
+//   strategy is built on the incremental bit_decoder (linalg/decoder.hpp):
+//   each arrival is eliminated on insert, one decoder per window.
 //     rref        generic gf2 elimination.  Full-span layouts keep one
-//                 incremental bit_decoder; generation layouts store rows
-//                 full-width per generation and batch-reduce with gf2_rref
-//                 (pivots may sit anywhere, every XOR is k+d bits wide —
-//                 the generic baseline banded elimination is judged
-//                 against).
-//     banded      generation layouts only: rows are stored narrow
-//                 ([g+w window | payload]) and pivots never leave the
-//                 window, so every elimination XOR touches g+w+d bits
-//                 instead of k+d (PR 3's generation coder, now one cell of
-//                 the matrix).
+//                 decoder over all k tokens; generation layouts keep one
+//                 decoder per generation whose rows stay full wire width
+//                 (every XOR is k+d bits wide — the generic baseline
+//                 banded elimination is judged against).
+//     banded      generation layouts only: each generation's decoder spans
+//                 just its window, so rows are stored narrow
+//                 ([g+w window | payload]) and every elimination XOR
+//                 touches g+w+d bits instead of k+d.
+//
+// Emission order is part of the draw stream (the goldens pin it): the
+// full-span group combines its basis in storage (arrival) order, a
+// generation group combines its rows in pivot order — the canonical RREF
+// row order.
 //
 // A matrix_spec names one cell; make_matrix_backend builds it.  The
-// historical factories (make_dense_backend & co in backend.hpp) are
-// bit-identical shims over the default cells: same RNG draws in the same
-// order, same wire bytes, same XOR-word accounting.
+// default spec (sched=dense, dec=rref, full span) is the paper's dense
+// path.
 #pragma once
 
 #include <memory>
@@ -48,10 +49,12 @@
 
 namespace ncdn {
 
+class bit_decoder;  // linalg/decoder.hpp
+
 /// One cell of the coding matrix plus its token layout.  gen_size == 0 is
 /// the full-span layout (one window covering all tokens); gen_size >= 1
 /// partitions tokens into generations of gen_size with a band_overlap-token
-/// shared band, exactly as make_generation_backend did.
+/// shared band (consecutive windows overlap by band_overlap tokens).
 struct matrix_spec {
   std::string sched = "dense";  // dense | sparse | systematic | feedback
   std::string dec = "rref";     // rref | banded
@@ -61,19 +64,19 @@ struct matrix_spec {
 };
 
 /// How arrivals are stored, eliminated, and queried.  The emission surface
-/// (prepare_emit / group) exposes the reduced basis as windowed groups so a
-/// schedule can draw combinations without knowing the storage layout:
-/// full-span strategies report one group spanning all tokens, generation
-/// strategies one group per generation.
+/// (group) exposes the reduced basis as windowed groups so a schedule can
+/// draw combinations without knowing the storage layout: full-span
+/// strategies report one group spanning all tokens, generation strategies
+/// one group per generation.  Groups always reflect every insert so far.
 class decoder_strategy {
  public:
   struct group_ref {
     std::size_t start = 0;  // first token of the window
     std::size_t width = 0;  // window width in tokens
-    // Rows stored narrow ([width | payload], banded) or full wire width
-    // ([items | payload]).
+    // Decoder columns are the window itself ([width | payload] rows,
+    // banded) or all tokens ([items | payload] wire-width rows).
     bool narrow = false;
-    const std::vector<bitvec>* rows = nullptr;  // reduced basis rows
+    const bit_decoder* dec = nullptr;  // the window's decoder
   };
 
   virtual ~decoder_strategy() = default;
@@ -92,9 +95,9 @@ class decoder_strategy {
   virtual std::size_t items() const = 0;
   virtual std::size_t item_bits() const = 0;
 
-  /// Emission surface: folds any pending arrivals into the reduced basis,
-  /// then the groups are valid until the next insert.
-  virtual void prepare_emit() const = 0;
+  /// Emission surface.  A schedule combines a generation group's rows in
+  /// pivot order (the window's columns walked through
+  /// bit_decoder::pivot_row) and the full-span group's in basis() order.
   virtual bool grouped() const = 0;
   virtual std::size_t group_count() const = 0;
   virtual group_ref group(std::size_t gi) const = 0;
@@ -102,7 +105,7 @@ class decoder_strategy {
 
 /// What a node sends.  Schedules are per-node (they may carry state: the
 /// systematic queue, accumulated feedback deficits); `emit` draws one wire
-/// row from the decoder's reduced groups, charging combination XOR
+/// row from the decoder's groups, charging combination XOR
 /// word-ops to *xor_words.
 class encoder_schedule {
  public:

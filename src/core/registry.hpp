@@ -36,10 +36,6 @@
 //              });
 //        }});
 //
-// (The deprecated loop-style `make_protocol_driver` still wraps a blocking
-// `session_env& -> protocol_result` callable, at the cost of per-round
-// stepping — see core/machine.hpp.)
-//
 // User-input errors (unknown name, unknown or malformed parameter) throw
 // std::invalid_argument; contract macros stay reserved for programmer
 // error.
@@ -111,8 +107,8 @@ class param_reader {
   std::vector<std::string> queried_;
 };
 
-// session_env, protocol_machine, make_protocol_machine, and the deprecated
-// loop-style make_protocol_driver shim live in core/machine.hpp.
+// session_env, protocol_machine, and make_protocol_machine live in
+// core/machine.hpp.
 
 class coding_backend;  // coding/backend.hpp
 

@@ -96,6 +96,11 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
     throw std::invalid_argument(
         "ncdn: infeasible problem (need n >= 2, k >= 1, d >= 1, b >= d)");
   }
+  if (prob_.d < 64 && prob_.k >= (std::uint64_t{1} << prob_.d)) {
+    throw std::invalid_argument(
+        "ncdn: infeasible problem (need k < 2^d: tokens are distinct d-bit "
+        "strings)");
+  }
   if (prob_.b < bits_for(prob_.n)) {
     throw std::invalid_argument("ncdn: the model requires b >= log2 n (§4.1)");
   }

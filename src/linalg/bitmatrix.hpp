@@ -1,7 +1,6 @@
 // Batch Gaussian elimination over GF(2) on word-packed rows.
-// The incremental decoder (decoder.hpp) is what protocols use online; these
-// helpers serve tests, the omniscient adversary (which evaluates prospective
-// rank growth), and one-shot rank computations.
+// The incremental decoder (decoder.hpp) is what every coder uses online;
+// these helpers are reference oracles for tests and the GF kernel bench.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +16,8 @@ std::size_t gf2_rank(std::vector<bitvec> rows);
 /// In-place reduced row echelon form; zero rows are dropped.
 /// Returns pivot column of each remaining row, in increasing order.
 /// When `xor_words` is non-null it is incremented by the 64-bit XOR
-/// word-operations the elimination performed (the generation-coding
-/// backend charges its batched decodes through this).
+/// word-operations the elimination performed (the same count
+/// bit_decoder::insert charges for the same rows in the same order).
 std::vector<std::size_t> gf2_rref(std::vector<bitvec>& rows,
                                   std::uint64_t* xor_words = nullptr);
 

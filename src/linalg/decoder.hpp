@@ -159,6 +159,15 @@ class bit_decoder {
 
   const std::vector<bitvec>& basis() const noexcept { return rows_; }
 
+  /// The basis row whose pivot is column c, or nullptr if c is not a
+  /// pivot.  Walking the columns in order visits the basis in pivot order
+  /// (the canonical RREF row order); basis() keeps arrival order.
+  const bitvec* pivot_row(std::size_t c) const {
+    NCDN_EXPECTS(c < coeff_dim_);
+    const std::size_t r = pivot_row_[c];
+    return r == npos ? nullptr : &rows_[r];
+  }
+
   /// Number of tokens currently decodable (singleton RREF rows).
   /// Maintained incrementally by insert — O(1) to read, monotone, and
   /// == coeff_dim iff complete() — so per-round decode-delay accounting

@@ -16,6 +16,7 @@
 #include <stdexcept>
 
 #include "coding/backend.hpp"
+#include "coding/matrix.hpp"
 #include "core/session.hpp"
 #include "protocols/rlnc_broadcast.hpp"
 
@@ -36,20 +37,28 @@ std::vector<bitvec> seed_all(rlnc_session& s, std::size_t n, std::size_t k,
   return payloads;
 }
 
+matrix_spec sparse_spec(double rho) {
+  matrix_spec spec;
+  spec.sched = "sparse";
+  spec.rho = rho;
+  return spec;
+}
+
+matrix_spec generation_spec(std::size_t gen_size, std::size_t band_overlap) {
+  matrix_spec spec;
+  spec.dec = "banded";
+  spec.gen_size = gen_size;
+  spec.band_overlap = band_overlap;
+  return spec;
+}
+
 struct backend_case {
   const char* label;
-  std::unique_ptr<coding_backend> (*make)();
+  matrix_spec spec;
+  std::unique_ptr<coding_backend> make() const {
+    return make_matrix_backend(spec);
+  }
 };
-
-std::unique_ptr<coding_backend> make_sparse02() {
-  return make_sparse_backend(0.2);
-}
-std::unique_ptr<coding_backend> make_gen41() {
-  return make_generation_backend(4, 1);
-}
-std::unique_ptr<coding_backend> make_gen30() {
-  return make_generation_backend(3, 0);
-}
 
 class backend_suite : public ::testing::TestWithParam<backend_case> {};
 
@@ -79,10 +88,10 @@ TEST_P(backend_suite, decodes_true_payloads_on_a_dynamic_network) {
 
 INSTANTIATE_TEST_SUITE_P(
     backends, backend_suite,
-    ::testing::Values(backend_case{"dense", &make_dense_backend},
-                      backend_case{"sparse_rho02", &make_sparse02},
-                      backend_case{"gen4_band1", &make_gen41},
-                      backend_case{"gen3_disjoint", &make_gen30}),
+    ::testing::Values(backend_case{"dense", matrix_spec{}},
+                      backend_case{"sparse_rho02", sparse_spec(0.2)},
+                      backend_case{"gen4_band1", generation_spec(4, 1)},
+                      backend_case{"gen3_disjoint", generation_spec(3, 0)}),
     [](const ::testing::TestParamInfo<backend_case>& param_info) {
       return param_info.param.label;
     });
@@ -108,7 +117,7 @@ TEST(generation_backend, knowledge_is_decodable_count_and_monotone) {
   rng r(211);
   auto adv = make_permuted_path(n, 223);
   network net(n, k + d, *adv, 227);
-  rlnc_session s(n, k, d, make_generation_backend(4, 2));
+  rlnc_session s(n, k, d, make_matrix_backend(generation_spec(4, 2)));
   seed_all(s, n, k, d, r);
   // Seeded singletons are immediately decodable.
   EXPECT_GE(s.knowledge(0), 1u);
@@ -142,9 +151,9 @@ TEST(generation_backend, decode_progress_is_uniform_across_backends) {
     EXPECT_EQ(s.decode_progress(0), decodable);
     EXPECT_EQ(s.decode_progress(0), 1u);  // one seeded singleton
   };
-  check(make_dense_backend());
-  check(make_sparse_backend(0.3));
-  check(make_generation_backend(2, 1));
+  check(make_matrix_backend(matrix_spec{}));
+  check(make_matrix_backend(sparse_spec(0.3)));
+  check(make_matrix_backend(generation_spec(2, 1)));
 }
 
 // --- bit-identity: dense must not move --------------------------------------
@@ -155,9 +164,10 @@ TEST(dense_bit_identity, explicit_dense_backend_equals_default_ctor) {
     rng r(301);
     auto adv = make_permuted_path(n, 307);
     network net(n, k + d, *adv, 311);
-    rlnc_session s = explicit_backend
-                         ? rlnc_session(n, k, d, make_dense_backend())
-                         : rlnc_session(n, k, d);
+    rlnc_session s =
+        explicit_backend
+            ? rlnc_session(n, k, d, make_matrix_backend(matrix_spec{}))
+            : rlnc_session(n, k, d);
     seed_all(s, n, k, d, r);
     const round_t used = s.run(net, 20 * (n + k), true);
     std::vector<std::uint64_t> sig{used, s.xor_word_ops()};

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "core/session.hpp"
 
@@ -278,6 +279,32 @@ TEST(session, params_override_problem_and_reject_typos) {
   EXPECT_THROW(session(prob, protocol_spec{"greedy-forward", {}},
                        adversary_spec{"no-such-adversary", {}}, 1),
                std::invalid_argument);
+}
+
+TEST(session, rejects_more_tokens_than_distinct_payloads) {
+  // Tokens are distinct d-bit strings, so k >= 2^d is infeasible: the
+  // session rejects it as a user error instead of tripping the token
+  // generator's contract.
+  problem prob;
+  prob.n = 512;
+  prob.k = 512;
+  prob.d = 8;
+  prob.b = 32;
+  for (const char* proto : {"rlnc-direct", "token-forwarding"}) {
+    try {
+      session s(prob, protocol_spec{proto, {}},
+                adversary_spec{"permuted-path", {}}, 1);
+      FAIL() << proto << " accepted k = 2^d";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("k < 2^d"), std::string::npos)
+          << err.what();
+    }
+  }
+  // One short of the limit is feasible.
+  prob.k = 255;
+  prob.n = 255;
+  EXPECT_NO_THROW(session(prob, protocol_spec{"token-forwarding", {}},
+                          adversary_spec{"permuted-path", {}}, 1));
 }
 
 TEST(session, adversary_params_reshape_the_topology) {

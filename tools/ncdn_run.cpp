@@ -511,7 +511,13 @@ int cmd_sweep(int argc, char** argv) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const sweep_result result = run_sweep(std::move(scens), opts);
+  sweep_result result;
+  try {
+    result = run_sweep(std::move(scens), opts);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 2;
+  }
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
 
