@@ -35,7 +35,7 @@
 
 namespace ncdn {
 
-struct problem;  // core/dissemination.hpp
+struct problem;  // core/problem.hpp
 
 /// What a protocol driver runs against: the instance, the initial token
 /// placement, the round engine, and the shared token-knowledge state.
@@ -256,9 +256,9 @@ inline round_task<void> silent_wait(network& net, round_t rounds) {
   }
 }
 
-/// Drives a round task to completion on the calling thread.  This is what
-/// the legacy blocking `run_*` entry points are now: one-line wrappers over
-/// their machine.
+/// Drives a round task to completion on the calling thread — the blocking
+/// way to run a machine or sub-phase outside a session:
+/// `run_rounds(greedy_forward_machine(net, st, cfg))`.
 template <class T>
 T run_rounds(round_task<T> task) {
   detail::machine_scheduler sched;

@@ -386,13 +386,11 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
 void register_builtin_protocols(protocol_registry& reg) {
   reg.add({"token-forwarding",
            "Thm 2.1 token-forwarding baseline (batched min-flood)",
-           algorithm::token_forwarding,
            [](const problem& prob, param_reader& params) {
              return flooding_factory(prob, params, /*pipelined=*/false);
            }});
   reg.add({"token-forwarding-pipelined",
            "streaming token-forwarding for T-stable baselines",
-           algorithm::token_forwarding_pipelined,
            [](const problem& prob, param_reader& params) {
              return flooding_factory(prob, params, /*pipelined=*/true);
            },
@@ -404,7 +402,6 @@ void register_builtin_protocols(protocol_registry& reg) {
            /*loss_tolerant=*/true});
   reg.add({"naive-indexed",
            "Cor 7.1: index by ID-flooding, then RLNC-broadcast",
-           algorithm::naive_indexed,
            [](const problem& prob, param_reader& params) {
              naive_indexed_config cfg;
              cfg.b_bits = prob.b;
@@ -418,7 +415,6 @@ void register_builtin_protocols(protocol_registry& reg) {
            }});
   reg.add({"greedy-forward",
            "Thm 7.3: gather, coded-broadcast b^2/(4d) tokens, retire",
-           algorithm::greedy_forward,
            [](const problem& prob, param_reader& params) {
              greedy_forward_config cfg;
              cfg.b_bits = prob.b;
@@ -436,51 +432,42 @@ void register_builtin_protocols(protocol_registry& reg) {
            }});
   reg.add({"priority-forward/flooding",
            "Thm 7.5 with explicit min-flood priority indexing",
-           algorithm::priority_forward_flooding,
            [](const problem& prob, param_reader& params) {
              return priority_factory(prob, params, indexing_mode::flooding);
            }});
   reg.add({"priority-forward/charged",
            "Thm 7.5 with the charged recursive indexing substitution",
-           algorithm::priority_forward_charged,
            [](const problem& prob, param_reader& params) {
              return priority_factory(prob, params, indexing_mode::charged);
            }});
   reg.add({"tstable/auto",
            "Thm 2.4: strongest feasible T-stable engine for (n, b, T, d)",
-           algorithm::tstable_auto,
            [](const problem& prob, param_reader& params) {
              return tstable_factory(prob, params, tstable_engine::auto_select);
            }});
   reg.add({"tstable/patch",
            "§8 patch-sharing indexed broadcast (T^2 speedup machinery)",
-           algorithm::tstable_patch,
            [](const problem& prob, param_reader& params) {
              return tstable_factory(prob, params, tstable_engine::patch);
            }});
   reg.add({"tstable/chunked",
            "§8 coefficient-amortizing chunked meta-rounds (factor T)",
-           algorithm::tstable_chunked,
            [](const problem& prob, param_reader& params) {
              return tstable_factory(prob, params, tstable_engine::chunked);
            }});
   reg.add({"tstable/patch-gather",
            "§8.3 mode B: in-patch pipelined gathering, then patch broadcast",
-           algorithm::tstable_patch_gather,
            [](const problem& prob, param_reader& params) {
              return tstable_factory(prob, params, tstable_engine::patch_gather);
            }});
-  // Not part of the old enum facade: the T-independent control engine,
-  // registered by name only (the registry is the extension point).
+  // The T-independent control engine.
   reg.add({"tstable/plain",
            "per-round RLNC blocks under a T-stable adversary (control)",
-           std::nullopt,
            [](const problem& prob, param_reader& params) {
              return tstable_factory(prob, params, tstable_engine::plain);
            }});
   reg.add({"centralized-rlnc",
            "Cor 2.6: headerless coding genie, Theta(n) floor",
-           algorithm::centralized_rlnc,
            [](const problem& prob, param_reader& params) {
              centralized_config cfg;
              cfg.b_bits = prob.b;
@@ -492,18 +479,16 @@ void register_builtin_protocols(protocol_registry& reg) {
            /*needs_full_connectivity=*/false});
   reg.add({"rlnc-direct",
            "Lemma 5.3 indexed broadcast standalone (indexing granted)",
-           algorithm::rlnc_direct,
            [](const problem& prob, param_reader& params) {
              return coded_broadcast_factory(prob, "rlnc-direct",
                                             rlnc_direct_plan(prob, params));
            },
            /*needs_full_connectivity=*/false,
            /*loss_tolerant=*/true, rlnc_direct_plan});
-  // Registry-only backends (no legacy enum): the density/delay trade-offs
-  // of practical RLNC (sparsenc; Firooz & Roy; Costa et al.).
+  // The density/delay trade-offs of practical RLNC (sparsenc; Firooz &
+  // Roy; Costa et al.).
   reg.add({"rlnc-sparse",
            "indexed broadcast, sparse combinations (Bernoulli rho) [rho]",
-           std::nullopt,
            [](const problem& prob, param_reader& params) {
              return coded_broadcast_factory(prob, "rlnc-sparse",
                                             rlnc_sparse_plan(prob, params));
@@ -513,7 +498,6 @@ void register_builtin_protocols(protocol_registry& reg) {
   reg.add({"rlnc-gen",
            "indexed broadcast, generation/band coding [gen_size, "
            "band_overlap]",
-           std::nullopt,
            [](const problem& prob, param_reader& params) {
              return coded_broadcast_factory(prob, "rlnc-gen",
                                             rlnc_gen_plan(prob, params));
@@ -612,24 +596,20 @@ std::unique_ptr<adversary> churn_factory(const std::string& context,
 
 void register_builtin_adversaries(adversary_registry& reg) {
   reg.add({"static-path", "fixed path (static-network degenerate case)",
-           topology_kind::static_path,
            [](const problem& prob, param_reader&, std::uint64_t) {
              return make_static_path(prob.n);
            }});
   reg.add({"static-star", "fixed star (diameter 2, hub bottleneck)",
-           topology_kind::static_star,
            [](const problem& prob, param_reader&, std::uint64_t) {
              return make_static_star(prob.n);
            }});
   reg.add({"permuted-path",
            "fresh randomly-permuted path every round (hard oblivious)",
-           topology_kind::permuted_path,
            [](const problem& prob, param_reader&, std::uint64_t seed) {
              return make_permuted_path(prob.n, seed);
            }});
   reg.add({"random-connected",
            "fresh sparse random connected graph every round [extra_edges]",
-           topology_kind::random_connected,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const std::size_t extra =
                  params.size("extra_edges", prob.n / 2);
@@ -637,7 +617,6 @@ void register_builtin_adversaries(adversary_registry& reg) {
            }});
   reg.add({"random-geometric",
            "fresh geometric graph every round (ad-hoc mesh) [radius]",
-           topology_kind::random_geometric,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const double radius = params.real(
                  "radius", 1.8 / std::sqrt(static_cast<double>(prob.n)));
@@ -645,17 +624,15 @@ void register_builtin_adversaries(adversary_registry& reg) {
            }});
   reg.add({"sorted-path",
            "adaptive: path sorted by current knowledge [ascending]",
-           topology_kind::sorted_path,
            [](const problem&, param_reader& params, std::uint64_t) {
              const bool ascending = params.flag("ascending", true);
              return std::make_unique<sorted_path_adversary>(ascending);
            }});
-  // Not part of the old enum facade: Kuhn et al.'s T-interval connectivity
-  // (§9 asks about extending the patch algorithms to it).
+  // Kuhn et al.'s T-interval connectivity (§9 asks about extending the
+  // patch algorithms to it).
   reg.add({"t-interval",
            "random spanning tree fixed per T-round window, extra edges "
            "redrawn every round [t, extra_edges]",
-           std::nullopt,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const round_t t = params.u64("t", 4);
              const std::size_t extra =
@@ -666,14 +643,12 @@ void register_builtin_adversaries(adversary_registry& reg) {
   // and the evolving/ad-hoc graph families of the related RLNC evaluations
   // (Ashrafi-Roy-Firooz; Firooz-Roy), plus a generic modifier layer.
   reg.add({"static-clique", "fixed complete graph (dense-mixing control)",
-           std::nullopt,
            [](const problem& prob, param_reader&, std::uint64_t) {
              return make_static_clique(prob.n);
            }});
   reg.add({"t-interval-random",
            "fresh random connected subgraph held fixed per T-round window "
            "(the paper's T-interval model class) [t, extra_edges]",
-           std::nullopt,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const round_t t = params.u64("t", 4);
              if (t < 1) {
@@ -687,7 +662,6 @@ void register_builtin_adversaries(adversary_registry& reg) {
   reg.add({"edge-markov",
            "per-edge on/off Markov chains over a base edge set "
            "[p_on, p_off, base]",
-           std::nullopt,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const std::string base = params.str("base", "static-clique");
              return edge_markov_factory("adversary 'edge-markov'", prob,
@@ -696,7 +670,6 @@ void register_builtin_adversaries(adversary_registry& reg) {
   reg.add({"churn",
            "nodes depart/arrive (live set stays connected; bounded "
            "downtime) [rate, rejoin, min_live, max_down, base]",
-           std::nullopt,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const std::string base = params.str("base", "random-connected");
              return churn_factory("adversary 'churn'", prob, params, base,
@@ -705,7 +678,6 @@ void register_builtin_adversaries(adversary_registry& reg) {
   reg.add({"adaptive-min-cut",
            "adaptive: splits the knowledge frontier with a single-bridge "
            "cut every round [side]",
-           std::nullopt,
            [](const problem&, param_reader& params, std::uint64_t) {
              const std::string side = params.str("side", "clique");
              if (side != "clique" && side != "path") {
@@ -717,7 +689,6 @@ void register_builtin_adversaries(adversary_registry& reg) {
   reg.add({"compose",
            "modifier over a base family: modifier=edge-markov|churn|"
            "t-stable, base=<any plain family> [plus their params]",
-           std::nullopt,
            [](const problem& prob, param_reader& params, std::uint64_t seed) {
              const std::string base = params.str("base", "random-geometric");
              const std::string modifier =

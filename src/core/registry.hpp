@@ -3,11 +3,9 @@
 //
 // A protocol or adversary registers under a stable name with a factory
 // taking the `problem` and a `param_map` of key=value overrides
-// ("t_stability=4", "radius=0.4", "epoch_cap=8", ...).  Everything the old
-// enum facade dispatched on is registered here as a built-in entry; the
-// enums survive only as lookups into these tables, so a new entry cannot
-// ship without its string and external code can add entries without
-// touching this file.
+// ("t_stability=4", "radius=0.4", "epoch_cap=8", ...).  Every algorithm
+// and topology family is a built-in entry here, and external code can add
+// entries without touching this file.
 //
 // Protocol factories return a round-driven `protocol_machine`
 // (core/machine.hpp): write the algorithm as a `round_task` coroutine with
@@ -25,7 +23,7 @@
 //   }
 //
 //   ncdn::protocol_registry::instance().add(
-//       {"my-protocol", "one-line summary", std::nullopt,
+//       {"my-protocol", "one-line summary",
 //        [](const ncdn::problem& prob, ncdn::param_reader& params) {
 //          my_config cfg;
 //          cfg.b_bits = prob.b;
@@ -48,8 +46,8 @@
 #include <string>
 #include <vector>
 
-#include "core/dissemination.hpp"
 #include "core/machine.hpp"
+#include "core/problem.hpp"
 #include "dynnet/adversary.hpp"
 #include "dynnet/network.hpp"
 #include "protocols/common.hpp"
@@ -125,7 +123,6 @@ struct coded_backend_plan {
 struct protocol_entry {
   std::string name;     // e.g. "greedy-forward", "tstable/patch"
   std::string summary;  // one line for `ncdn-run list-algorithms`
-  std::optional<algorithm> legacy;  // enum shim tag, if any
   std::function<std::unique_ptr<protocol_machine>(const problem&,
                                                   param_reader&)>
       make;
@@ -146,17 +143,22 @@ struct protocol_entry {
   // content session recognizes exactly the vocabulary the protocol does.
   std::function<coded_backend_plan(const problem&, param_reader&)> coded_plan =
       {};
+  // Unused.  Kept only because tools/perfbench clears it on the entries it
+  // copies; no registration sets it.
+  std::optional<int> legacy = std::nullopt;
 };
 
 struct adversary_entry {
   std::string name;
   std::string summary;
-  std::optional<topology_kind> legacy;
   // The raw adversary; the caller layers T-stability on top when
-  // prob.t_stability > 1 (matching the old facade).
+  // prob.t_stability > 1.
   std::function<std::unique_ptr<adversary>(const problem&, param_reader&,
                                            std::uint64_t seed)>
       make;
+  // Unused.  Kept only because tools/perfbench clears it on the entries it
+  // copies; no registration sets it.
+  std::optional<int> legacy = std::nullopt;
 };
 
 /// Registration-ordered registry (built-ins first, deterministically).
@@ -210,7 +212,7 @@ std::string join_keys(const std::vector<std::string>& keys);
 /// unless `audit` is non-null, in which case leftover keys are reported
 /// there instead (the session uses this to accept a shared param_map where
 /// each key only needs to be consumed by one side).  The adversary builder
-/// applies the T-stability wrapper exactly like the old facade.
+/// layers the T-stability wrapper on top when prob.t_stability > 1.
 std::unique_ptr<protocol_machine> build_protocol(const problem& prob,
                                                  const protocol_spec& spec,
                                                  param_audit* audit = nullptr);

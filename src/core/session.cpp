@@ -109,8 +109,8 @@ session::session(const problem& prob, protocol_spec proto, adversary_spec adv,
         "ncdn: placement one-per-node requires k == n");
   }
 
-  // Seed derivation is kept bit-identical to the historical facade so that
-  // every recorded (scenario, seed) cell stays reproducible.
+  // Seed derivation is frozen so that every recorded (scenario, seed) cell
+  // stays reproducible.
   std::uint64_t seed_state = seed_;
   rng dist_rng(splitmix64(seed_state));
   dist_ = make_distribution(prob_.n, prob_.k, prob_.d, prob_.place, dist_rng);

@@ -1,5 +1,5 @@
-// The steppable session: the open replacement for the one-shot
-// `run_dissemination` facade.
+// The steppable session: the one way to build and run a dissemination
+// instance from registry names.
 //
 //   ncdn::session s(prob, {"rlnc-direct"}, {"permuted-path"}, /*seed=*/1);
 //   s.set_observer([](const ncdn::round_metrics& m) {

@@ -279,9 +279,14 @@ class churn_adversary final : public adversary {
     base_->set_rebuild_mode(rebuild);
   }
 
-  /// Liveness of every node on the most recent round (1 = live).
+  /// Liveness of every node on the most recent round (1 = live); empty
+  /// before the first topology() call.
   const std::vector<char>& live() const noexcept { return live_; }
-  const std::vector<char>* live_mask() const override { return &live_; }
+  /// nullptr ("all live") until the first round draws the mask, so a
+  /// returned mask always has one entry per node.
+  const std::vector<char>* live_mask() const override {
+    return live_.empty() ? nullptr : &live_;
+  }
   std::size_t live_count() const noexcept { return live_count_; }
   std::size_t min_live() const noexcept { return min_live_; }
 

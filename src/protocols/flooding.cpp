@@ -148,9 +148,4 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   co_return res;
 }
 
-protocol_result run_flooding(network& net, token_state& st,
-                             const flooding_config& cfg) {
-  return run_rounds(flooding_machine(net, st, cfg));
-}
-
 }  // namespace ncdn

@@ -140,9 +140,4 @@ round_task<protocol_result> greedy_forward_machine(
   co_return res;
 }
 
-protocol_result run_greedy_forward(network& net, token_state& st,
-                                   const greedy_forward_config& cfg) {
-  return run_rounds(greedy_forward_machine(net, st, cfg));
-}
-
 }  // namespace ncdn

@@ -165,9 +165,4 @@ round_task<protocol_result> naive_indexed_machine(
   co_return res;
 }
 
-protocol_result run_naive_indexed(network& net, token_state& st,
-                                  const naive_indexed_config& cfg) {
-  return run_rounds(naive_indexed_machine(net, st, cfg));
-}
-
 }  // namespace ncdn

@@ -273,9 +273,4 @@ round_task<priority_forward_result> priority_forward_machine(
   co_return res;
 }
 
-priority_forward_result run_priority_forward(
-    network& net, token_state& st, const priority_forward_config& cfg) {
-  return run_rounds(priority_forward_machine(net, st, cfg));
-}
-
 }  // namespace ncdn

@@ -127,10 +127,4 @@ round_task<gather_result> random_forward_machine(
   co_return res;
 }
 
-gather_result run_random_forward(network& net, token_state& st,
-                                 const gather_config& cfg,
-                                 const std::vector<bool>* raise_fail) {
-  return run_rounds(random_forward_machine(net, st, cfg, raise_fail));
-}
-
 }  // namespace ncdn

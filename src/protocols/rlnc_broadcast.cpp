@@ -35,10 +35,6 @@ void rlnc_session::seed(node_id u, std::size_t index, const bitvec& payload) {
   note_progress(u);
 }
 
-round_t rlnc_session::run(network& net, round_t max_rounds, bool stop_early) {
-  return run_rounds(run_stepped(net, max_rounds, stop_early));
-}
-
 round_task<round_t> rlnc_session::run_stepped(network& net,
                                               round_t max_rounds,
                                               bool stop_early) {

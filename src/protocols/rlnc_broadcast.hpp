@@ -61,10 +61,8 @@ class rlnc_session final : public knowledge_view {
 
   /// Runs up to `max_rounds` coding rounds; if stop_early, returns as soon
   /// as every node has full rank (observer-checked).  Returns rounds used.
-  round_t run(network& net, round_t max_rounds, bool stop_early);
-
-  /// The same broadcast as a round-driven machine: callers `co_await` it as
-  /// a sub-phase and every coding round surfaces to the stepping driver.
+  /// A round-driven machine: callers `co_await` it as a sub-phase and every
+  /// coding round surfaces to the stepping driver.
   round_task<round_t> run_stepped(network& net, round_t max_rounds,
                                   bool stop_early);
 

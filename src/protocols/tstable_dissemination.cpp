@@ -462,9 +462,4 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
   co_return res;
 }
 
-tstable_result run_tstable_dissemination(network& net, token_state& st,
-                                         const tstable_config& cfg) {
-  return run_rounds(tstable_machine(net, st, cfg));
-}
-
 }  // namespace ncdn

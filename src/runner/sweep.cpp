@@ -23,8 +23,8 @@ std::uint64_t cell_seed(std::uint64_t base_seed,
                         0x9e3779b97f4a7c15ULL *
                             static_cast<std::uint64_t>(trial);
   std::uint64_t seed = splitmix64(state);
-  // run_dissemination derives sub-seeds multiplicatively, so steer clear of
-  // the one degenerate value.
+  // The session derives sub-seeds multiplicatively, so steer clear of the
+  // one degenerate value.
   return seed == 0 ? 1 : seed;
 }
 

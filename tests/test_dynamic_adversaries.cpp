@@ -143,6 +143,26 @@ TEST(churn, live_set_connected_departed_isolated_downtime_bounded) {
   EXPECT_TRUE(saw_departure);  // rate 0.3 over 400 rounds must churn
 }
 
+TEST(churn, live_mask_is_null_before_the_first_round_then_covers_every_node) {
+  // Readers index a non-null mask by node id (the content epoch driver
+  // reads it before round 0), so it must never be shorter than n.
+  const std::size_t n = 12;
+  fake_view view(std::vector<std::size_t>(n, 0));
+  auto adv = make_churn(make_random_connected(n, 6, 5), /*rate=*/0.3,
+                        /*rejoin=*/0.2, /*min_live=*/4, /*max_down=*/4, 9);
+  auto wrapped = make_t_stable(
+      make_churn(make_random_connected(n, 6, 5), 0.3, 0.2, 4, 4, 9), 2);
+  for (adversary* a : {adv.get(), wrapped.get()}) {
+    EXPECT_EQ(a->live_mask(), nullptr);
+    for (round_t r = 0; r < 6; ++r) {
+      a->topology(r, view);
+      const std::vector<char>* mask = a->live_mask();
+      ASSERT_NE(mask, nullptr) << "round " << r;
+      EXPECT_EQ(mask->size(), n) << "round " << r;
+    }
+  }
+}
+
 TEST(t_interval_random, fixed_within_window_fresh_across_windows) {
   const std::size_t n = 16;
   const round_t t = 8;

@@ -1,13 +1,16 @@
-// Tests for random-forward gathering (S8 / Lemma 7.2) and the two
+// Tests for random-forward gathering (S8 / Lemma 7.2), the two
 // gathering-based dissemination algorithms greedy-forward (S11 / Thm 7.3)
-// and priority-forward (S12 / Thm 7.5).
+// and priority-forward (S12 / Thm 7.5), and the flooding-indexed baseline
+// they improve on, naive-indexed (Cor 7.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
 
 #include "protocols/greedy_forward.hpp"
+#include "protocols/naive_indexed.hpp"
 #include "protocols/priority_forward.hpp"
 #include "protocols/random_forward.hpp"
 
@@ -38,7 +41,7 @@ TEST(random_forward, identifies_max_holder) {
   st.learn(3, 7);
   gather_config cfg;
   cfg.b_bits = 16;
-  const gather_result g = run_random_forward(net, st, cfg);
+  const gather_result g = run_rounds(random_forward_machine(net, st, cfg));
   // After gathering, the leader count can only have grown; leader holds at
   // least as many as anyone else (ties break toward higher uid).
   for (node_id u = 0; u < 8; ++u) {
@@ -58,7 +61,8 @@ TEST(random_forward, fail_flag_floods_to_everyone) {
   fail[7] = true;
   gather_config cfg;
   cfg.b_bits = 16;
-  const gather_result g = run_random_forward(net, st, cfg, &fail);
+  const gather_result g =
+      run_rounds(random_forward_machine(net, st, cfg, &fail));
   EXPECT_TRUE(g.fail_seen);
 }
 
@@ -75,7 +79,7 @@ TEST(random_forward, gathering_concentrates_tokens) {
     token_state st(dist);
     gather_config cfg;
     cfg.b_bits = b;
-    const gather_result g = run_random_forward(net, st, cfg);
+    const gather_result g = run_rounds(random_forward_machine(net, st, cfg));
     const double target = std::sqrt(static_cast<double>(b) * k / d);
     if (g.leader_count == k ||
         static_cast<double>(g.leader_count) >= target) {
@@ -103,7 +107,7 @@ TEST_P(greedy_suite, disseminates_everything) {
   token_state st(dist);
   greedy_forward_config cfg;
   cfg.b_bits = c.b;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete) << "epochs=" << res.epochs;
   EXPECT_GT(res.epochs, 0u);
   for (node_id u = 0; u < c.n; ++u) {
@@ -137,7 +141,8 @@ TEST_P(priority_suite, disseminates_everything_flooding_mode) {
   priority_forward_config cfg;
   cfg.b_bits = c.b;
   cfg.indexing = indexing_mode::flooding;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete)
       << "greedy=" << res.greedy_epochs << " prio=" << res.priority_iters;
 }
@@ -154,7 +159,8 @@ TEST_P(priority_suite, disseminates_everything_charged_mode) {
   priority_forward_config cfg;
   cfg.b_bits = c.b;
   cfg.indexing = indexing_mode::charged;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
 }
 
@@ -177,7 +183,8 @@ TEST(priority_forward, skip_greedy_exercises_loop_directly) {
   priority_forward_config cfg;
   cfg.b_bits = b;
   cfg.skip_greedy_phase = true;
-  const priority_forward_result res = run_priority_forward(net, st, cfg);
+  const priority_forward_result res =
+      run_rounds(priority_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.greedy_epochs, 0u);
   EXPECT_GT(res.priority_iters, 0u);
@@ -197,8 +204,26 @@ TEST(greedy_forward, recovers_from_injected_decode_failures) {
   cfg.b_bits = b;
   cfg.broadcast_factor = 1.05;  // barely enough: failures occur sometimes
   cfg.max_epochs = 4000;
-  const protocol_result res = run_greedy_forward(net, st, cfg);
+  const protocol_result res = run_rounds(greedy_forward_machine(net, st, cfg));
   EXPECT_TRUE(res.complete);
+}
+
+TEST(naive_indexed, schedule_matches_corollary_7_1) {
+  // One iteration handles m = b/(2 id_bits) tokens in n + 2(n + m) rounds;
+  // the total should scale like n k / m.
+  const std::size_t n = 16, k = 16, d = 8, b = 64;
+  rng r(7);
+  const auto dist = make_distribution(n, k, d, placement::one_per_node, r);
+  auto adv = make_permuted_path(n, 11);
+  network net(n, b, *adv, 13);
+  token_state st(dist);
+  naive_indexed_config cfg;
+  cfg.b_bits = b;
+  const protocol_result res = run_rounds(naive_indexed_machine(net, st, cfg));
+  ASSERT_TRUE(res.complete);
+  const std::size_t m = std::max<std::size_t>(1, b / (2 * dist.id_bits()));
+  const std::size_t iters = (k + m - 1) / m + 1;  // +1 empty-detect round
+  EXPECT_LE(res.epochs, iters + 1);
 }
 
 TEST(token_state, retire_and_reinstate_bookkeeping) {

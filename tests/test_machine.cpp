@@ -314,7 +314,7 @@ TEST(machine, throwing_machine_marks_the_session_failed_not_reported) {
   static const bool registered = [] {
     protocol_registry::instance().add(
         {"test/throws-mid-run", "throws after 3 rounds (test-only entry)",
-         std::nullopt, [](const problem&, param_reader&) {
+         [](const problem&, param_reader&) {
            return make_protocol_machine([](session_env& env) {
              return [](session_env& inner_env) -> round_task<protocol_result> {
                for (int r = 0; r < 3; ++r) {

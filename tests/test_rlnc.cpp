@@ -47,7 +47,8 @@ TEST_P(rlnc_suite, all_nodes_decode_within_linear_rounds) {
   }
 
   const round_t cap = 20 * (c.n + c.items);
-  const round_t used = session.run(net, cap, /*stop_early=*/true);
+  const round_t used =
+      run_rounds(session.run_stepped(net, cap, /*stop_early=*/true));
   ASSERT_TRUE(session.all_complete()) << "did not decode within cap";
   // Lemma 5.3's O(n + k): generous constant, but the *linear* shape.
   EXPECT_LE(used, 8 * (c.n + c.items));
@@ -87,7 +88,7 @@ TEST(rlnc_session, single_source_broadcast) {
     payloads.push_back(p);
     s.seed(0, i, p);
   }
-  s.run(net, 20 * (n + k), true);
+  run_rounds(s.run_stepped(net, 20 * (n + k), true));
   ASSERT_TRUE(s.all_complete());
   for (node_id u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -109,7 +110,7 @@ TEST(rlnc_session, knowledge_view_reports_rank) {
   }
   EXPECT_EQ(s.knowledge(0), k);
   EXPECT_EQ(s.knowledge(1), 0u);
-  s.run(net, 200, true);
+  run_rounds(s.run_stepped(net, 200, true));
   for (node_id u = 0; u < n; ++u) EXPECT_EQ(s.knowledge(u), k);
 }
 
@@ -127,7 +128,7 @@ TEST(rlnc_session, redundant_seeding_is_harmless) {
     payloads.push_back(p);
     for (node_id u = 0; u < n; u += 3) s.seed(u, i, p);
   }
-  s.run(net, 20 * (n + k), true);
+  run_rounds(s.run_stepped(net, 20 * (n + k), true));
   ASSERT_TRUE(s.all_complete());
   for (node_id u = 0; u < n; ++u) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -182,7 +183,7 @@ TEST(rlnc_wire_size, gf2_messages_cost_exactly_k_plus_s_bits) {
   }
   coded_msg probe{bitvec(k + s), {}};
   EXPECT_EQ(probe.bit_size(), k + s);
-  sess.run(net, 4, false);
+  run_rounds(sess.run_stepped(net, 4, false));
   EXPECT_EQ(net.max_observed_message_bits(), k + s);
 }
 
@@ -222,7 +223,7 @@ TEST(rlnc_shape, rounds_grow_linearly_not_quadratically) {
         p.randomize(r);
         s.seed(static_cast<node_id>(i), i, p);
       }
-      const round_t used = s.run(net, 100 * n, true);
+      const round_t used = run_rounds(s.run_stepped(net, 100 * n, true));
       ASSERT_TRUE(s.all_complete());
       (n == 16 ? r16 : r32) += static_cast<double>(used);
     }
