@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -71,6 +72,19 @@ double param_reader::real(const std::string& key, double fallback) {
     bad_param(context_, key, *v, "number");
   }
   return parsed;
+}
+
+double param_reader::factor(const std::string& key, double fallback,
+                            double scale, double min) {
+  const double parsed = real(key, fallback);
+  // 2^64: the first product a cast to a round count cannot hold.
+  if (parsed >= min && parsed * scale < 18446744073709551616.0) return parsed;
+  char want[96];
+  std::snprintf(want, sizeof want,
+                "round-count factor (need >= %g, times %g below 2^64)", min,
+                scale);
+  const std::string* v = raw(key);
+  bad_param(context_, key, v != nullptr ? *v : std::to_string(parsed), want);
 }
 
 bool param_reader::flag(const std::string& key, bool fallback) {
@@ -202,7 +216,10 @@ std::unique_ptr<protocol_machine> flooding_factory(const problem& prob,
   flooding_config cfg;
   cfg.b_bits = prob.b;
   cfg.pipelined = pipelined;
-  cfg.phase_factor = params.real("phase_factor", cfg.phase_factor);
+  // A phased run needs n - 1 rounds per phase for min-flood agreement.
+  cfg.phase_factor =
+      params.factor("phase_factor", cfg.phase_factor,
+                    static_cast<double>(prob.n), pipelined ? 0.0 : 1.0);
   return make_protocol_machine([cfg](session_env& env) {
     return flooding_machine(env.net, env.state, cfg);
   });
@@ -214,8 +231,10 @@ std::unique_ptr<protocol_machine> priority_factory(const problem& prob,
   priority_forward_config cfg;
   cfg.b_bits = prob.b;
   cfg.indexing = mode;
-  cfg.broadcast_factor = params.real("broadcast_factor", cfg.broadcast_factor);
-  cfg.charged_factor = params.real("charged_factor", cfg.charged_factor);
+  cfg.broadcast_factor = params.factor("broadcast_factor", cfg.broadcast_factor,
+                                       static_cast<double>(prob.n + prob.k));
+  cfg.charged_factor = params.factor("charged_factor", cfg.charged_factor,
+                                     static_cast<double>(prob.n));
   cfg.max_iterations = params.size("max_iterations", cfg.max_iterations);
   return make_protocol_machine([cfg](session_env& env) {
     return priority_forward_machine(env.net, env.state, cfg);
@@ -287,7 +306,7 @@ std::unique_ptr<protocol_machine> coded_broadcast_factory(
 // serves both the standalone broadcast (`make`) and the per-epoch
 // re-instantiation of the versioned-content driver (`coded_plan`).  The
 // read order matches the historical entries exactly.
-coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
+coded_backend_plan rlnc_direct_plan(const problem& prob, param_reader& params) {
   // Full-span matrix cell; sched=/dec= open the (encoder schedule x
   // decoder strategy) matrix of coding/matrix.hpp.  Defaults reproduce
   // the historical dense entry bit-for-bit.
@@ -296,7 +315,8 @@ coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
   spec.dec = params.str("dec", "rref");
   if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = params.real("cap_factor", 16.0);
+  const double cap_factor = params.factor(
+      "cap_factor", 16.0, static_cast<double>(prob.n + prob.k));
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-direct", [spec] { return make_matrix_backend(spec); });
@@ -307,7 +327,7 @@ coded_backend_plan rlnc_direct_plan(const problem&, param_reader& params) {
   return plan;
 }
 
-coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
+coded_backend_plan rlnc_sparse_plan(const problem& prob, param_reader& params) {
   const double rho = params.real("rho", 0.2);
   if (!(rho > 0.0 && rho <= 1.0)) {
     throw std::invalid_argument("ncdn: rlnc-sparse needs rho in (0, 1]");
@@ -317,10 +337,11 @@ coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
   spec.dec = params.str("dec", "rref");
   spec.rho = rho;
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = params.real("cap_factor", 16.0);
   // Per-round mixing slows by roughly rho / (1/2); widen the Las-Vegas cap
   // accordingly so small densities still finish.
   const double stretch = std::max(1.0, 0.5 / rho);
+  const double cap_factor = params.factor(
+      "cap_factor", 16.0, stretch * static_cast<double>(prob.n + prob.k));
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-sparse", [spec] { return make_matrix_backend(spec); });
@@ -332,7 +353,7 @@ coded_backend_plan rlnc_sparse_plan(const problem&, param_reader& params) {
   return plan;
 }
 
-coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
+coded_backend_plan rlnc_gen_plan(const problem& prob, param_reader& params) {
   const std::size_t gen_size = params.size("gen_size", 16);
   if (gen_size < 1) {
     throw std::invalid_argument("ncdn: rlnc-gen needs gen_size >= 1");
@@ -350,18 +371,19 @@ coded_backend_plan rlnc_gen_plan(const problem&, param_reader& params) {
   spec.band_overlap = overlap;
   if (spec.sched == "sparse") spec.rho = params.real("rho", 0.2);
   make_matrix_backend(spec);  // validate the combo at parse time
-  const double cap_factor = params.real("cap_factor", 16.0);
+  // Bandwidth splits across G generations; each needs its own
+  // O(n + g + w) broadcast worth of rounds.
+  const auto span = [gen_size, overlap](std::size_t n, std::size_t k) {
+    const std::size_t gens = (k + gen_size - 1) / gen_size;
+    return static_cast<double>(gens * (n + gen_size + overlap) + k);
+  };
+  const double cap_factor =
+      params.factor("cap_factor", 16.0, span(prob.n, prob.k));
   coded_backend_plan plan;
   plan.make_backend = maybe_buffered(
       params, "rlnc-gen", [spec] { return make_matrix_backend(spec); });
-  plan.cap = [cap_factor, gen_size, overlap](std::size_t n, std::size_t k) {
-    // Bandwidth splits across G generations; each needs its own
-    // O(n + g + w) broadcast worth of rounds.
-    const std::size_t gens = (k + gen_size - 1) / gen_size;
-    return static_cast<round_t>(
-               cap_factor *
-               static_cast<double>(gens * (n + gen_size + overlap) + k)) +
-           64;
+  plan.cap = [cap_factor, span](std::size_t n, std::size_t k) {
+    return static_cast<round_t>(cap_factor * span(n, k)) + 64;
   };
   return plan;
 }
@@ -373,10 +395,15 @@ std::unique_ptr<protocol_machine> tstable_factory(const problem& prob,
   cfg.b_bits = prob.b;
   cfg.t_stability = prob.t_stability;
   cfg.engine = engine;
-  cfg.gather_factor = params.real("gather_factor", cfg.gather_factor);
-  cfg.flood_factor = params.real("flood_factor", cfg.flood_factor);
-  cfg.broadcast_cap_factor =
-      params.real("broadcast_cap_factor", cfg.broadcast_cap_factor);
+  const double n = static_cast<double>(prob.n);
+  const double t = static_cast<double>(prob.t_stability);
+  cfg.gather_factor = params.factor("gather_factor", cfg.gather_factor, n);
+  cfg.flood_factor = params.factor("flood_factor", cfg.flood_factor, n);
+  // The per-epoch cap multiplies (n + bT^2)(log n + 2).
+  cfg.broadcast_cap_factor = params.factor(
+      "broadcast_cap_factor", cfg.broadcast_cap_factor,
+      (n + static_cast<double>(prob.b) * t * t) *
+          static_cast<double>(log2ceil(prob.n) + 2));
   cfg.max_epochs = params.size("epoch_cap", cfg.max_epochs);
   return make_protocol_machine([cfg](session_env& env) {
     return tstable_machine(env.net, env.state, cfg);
@@ -406,7 +433,8 @@ void register_builtin_protocols(protocol_registry& reg) {
              naive_indexed_config cfg;
              cfg.b_bits = prob.b;
              cfg.broadcast_factor =
-                 params.real("broadcast_factor", cfg.broadcast_factor);
+                 params.factor("broadcast_factor", cfg.broadcast_factor,
+                               static_cast<double>(prob.n + prob.k));
              cfg.max_iterations =
                  params.size("max_iterations", cfg.max_iterations);
              return make_protocol_machine([cfg](session_env& env) {
@@ -418,11 +446,14 @@ void register_builtin_protocols(protocol_registry& reg) {
            [](const problem& prob, param_reader& params) {
              greedy_forward_config cfg;
              cfg.b_bits = prob.b;
+             const double n = static_cast<double>(prob.n);
              cfg.gather_factor =
-                 params.real("gather_factor", cfg.gather_factor);
-             cfg.flood_factor = params.real("flood_factor", cfg.flood_factor);
+                 params.factor("gather_factor", cfg.gather_factor, n);
+             cfg.flood_factor =
+                 params.factor("flood_factor", cfg.flood_factor, n);
              cfg.broadcast_factor =
-                 params.real("broadcast_factor", cfg.broadcast_factor);
+                 params.factor("broadcast_factor", cfg.broadcast_factor,
+                               n + static_cast<double>(prob.k));
              cfg.max_epochs = params.size("epoch_cap", cfg.max_epochs);
              cfg.stop_when_gather_below =
                  params.size("stop_below", cfg.stop_when_gather_below);
@@ -471,7 +502,10 @@ void register_builtin_protocols(protocol_registry& reg) {
            [](const problem& prob, param_reader& params) {
              centralized_config cfg;
              cfg.b_bits = prob.b;
-             cfg.cap_factor = params.real("cap_factor", cfg.cap_factor);
+             // The cap multiplies n + ceil(kd/b) + 1 <= n + k + 1 (b >= d).
+             cfg.cap_factor =
+                 params.factor("cap_factor", cfg.cap_factor,
+                               static_cast<double>(prob.n + prob.k + 1));
              return make_protocol_machine([cfg](session_env& env) {
                return centralized_rlnc_machine(env.net, env.state, cfg);
              });

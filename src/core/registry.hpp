@@ -83,6 +83,10 @@ class param_reader {
   std::size_t size(const std::string& key, std::size_t fallback);
   std::uint64_t u64(const std::string& key, std::uint64_t fallback);
   double real(const std::string& key, double fallback);
+  /// A number >= `min` whose product with `scale`, the round count it
+  /// multiplies (n, n + k, ...), fits a round_t; anything else throws.
+  double factor(const std::string& key, double fallback, double scale,
+                double min = 0.0);
   bool flag(const std::string& key, bool fallback);
   std::string str(const std::string& key, std::string fallback);
   bool has(const std::string& key) { return raw(key) != nullptr; }

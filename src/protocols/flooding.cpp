@@ -1,9 +1,9 @@
 #include "protocols/flooding.hpp"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 
-#include "core/bits.hpp"
+#include "linalg/bitvec.hpp"
 
 namespace ncdn {
 
@@ -33,12 +33,12 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   std::vector<std::size_t> rank_of(k);
   for (std::size_t i = 0; i < k; ++i) rank_of[order[i]] = i;
 
-  // active_[u]: ranks known to u and not yet finalized (sorted).
-  // unsent_[u]: pipelined mode only — active ranks not yet sent this phase.
-  std::vector<std::set<std::size_t>> active(n);
-  std::vector<std::set<std::size_t>> unsent(cfg.pipelined ? n : 0);
+  // active[u]: ranks known to u and not yet finalized (k-bit mask).
+  // unsent[u]: pipelined mode only — active ranks not yet sent this pass.
+  std::vector<bitvec> active(n, bitvec(k));
+  std::vector<bitvec> unsent;
   for (node_id u = 0; u < n; ++u) {
-    for (std::size_t t : dist.held_by_node[u]) active[u].insert(rank_of[t]);
+    for (std::size_t t : dist.held_by_node[u]) active[u].set(rank_of[t]);
   }
 
   const round_t phase_len = static_cast<round_t>(std::max<std::size_t>(
@@ -48,40 +48,48 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
   protocol_result res;
   const round_t start_round = net.rounds_elapsed();
 
-  auto learn = [&](node_id u, std::size_t t) {
-    if (!st.knows(u, t)) {
-      st.learn(u, t);
-      active[u].insert(rank_of[t]);
-      if (cfg.pipelined) unsent[u].insert(rank_of[t]);
+  auto deliver = [&](node_id u, const std::vector<const forward_msg*>& inbox) {
+    for (const forward_msg* m : inbox) {
+      for (std::size_t t : m->tokens) {
+        if (st.knows(u, t)) continue;
+        st.learn(u, t);
+        active[u].set(rank_of[t]);
+        if (cfg.pipelined) unsent[u].set(rank_of[t]);
+      }
     }
+  };
+  // The tokens of the B smallest ranks set in `mask`; `consume` clears them.
+  auto smallest = [&](bitvec& mask, bool consume) {
+    std::vector<std::size_t> tokens;
+    for (std::size_t rk = mask.first_set(); rk < k && tokens.size() < batch;
+         rk = mask.first_set_from(rk + 1)) {
+      if (tokens.empty()) tokens.reserve(std::min(batch, k));
+      tokens.push_back(order[rk]);
+      if (consume) mask.set(rk, false);
+    }
+    return tokens;
+  };
+  auto message = [&](bitvec& mask,
+                     bool consume) -> std::optional<forward_msg> {
+    std::vector<std::size_t> tokens = smallest(mask, consume);
+    if (tokens.empty()) return std::nullopt;
+    return forward_msg{std::move(tokens), d};
   };
 
   if (cfg.pipelined) {
     // Streaming mode: no finalization schedule (see header); run until the
     // observer sees completion or a generous cap.
-    for (node_id u = 0; u < n; ++u) unsent[u] = active[u];
+    unsent = active;
     const round_t cap = 4 * static_cast<round_t>(phases) * phase_len +
                         4 * static_cast<round_t>(n);
     for (round_t r = 0; r < cap && !st.all_complete(); ++r) {
       net.step<forward_msg>(
           st,
           [&](node_id u, rng&) -> std::optional<forward_msg> {
-            if (unsent[u].empty()) unsent[u] = active[u];  // restart stream
-            forward_msg m;
-            m.d_bits = d;
-            auto it = unsent[u].begin();
-            while (it != unsent[u].end() && m.tokens.size() < batch) {
-              m.tokens.push_back(order[*it]);
-              it = unsent[u].erase(it);
-            }
-            if (m.tokens.empty()) return std::nullopt;
-            return m;
+            if (!unsent[u].any()) unsent[u] = active[u];  // restart stream
+            return message(unsent[u], /*consume=*/true);
           },
-          [&](node_id u, const std::vector<const forward_msg*>& inbox) {
-            for (const forward_msg* m : inbox) {
-              for (std::size_t t : m->tokens) learn(u, t);
-            }
-          });
+          deliver);
       co_await next_round;
     }
     res.rounds = net.rounds_elapsed() - start_round;
@@ -97,20 +105,9 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
       net.step<forward_msg>(
           st,
           [&](node_id u, rng&) -> std::optional<forward_msg> {
-            forward_msg m;
-            m.d_bits = d;
-            auto it = active[u].begin();
-            for (; it != active[u].end() && m.tokens.size() < batch; ++it) {
-              m.tokens.push_back(order[*it]);
-            }
-            if (m.tokens.empty()) return std::nullopt;
-            return m;
+            return message(active[u], /*consume=*/false);
           },
-          [&](node_id u, const std::vector<const forward_msg*>& inbox) {
-            for (const forward_msg* m : inbox) {
-              for (std::size_t t : m->tokens) learn(u, t);
-            }
-          });
+          deliver);
       co_await next_round;
       if (res.completion_round == 0 && st.all_complete()) {
         res.completion_round = net.rounds_elapsed() - start_round;
@@ -119,22 +116,12 @@ round_task<protocol_result> flooding_machine(network& net, token_state& st,
     // Phase boundary: every node finalizes its `batch` smallest known
     // non-finalized tokens.  The min-flood argument (header comment)
     // guarantees all nodes pick the same set; asserted here.
-    std::vector<std::size_t> first_choice;
+    const auto first_choice = smallest(active[0], /*consume=*/true);
     for (node_id u = 0; u < n; ++u) {
-      std::vector<std::size_t> done;  // ranks
-      auto it = active[u].begin();
-      for (; it != active[u].end() && done.size() < batch; ++it) {
-        done.push_back(*it);
-      }
-      if (u == 0) {
-        first_choice = done;
-      } else {
-        NCDN_ASSERT(done == first_choice);  // min-flood agreement
-      }
-      for (std::size_t rk : done) {
-        active[u].erase(rk);
-        st.retire(u, order[rk]);
-      }
+      const std::vector<std::size_t> done =
+          u == 0 ? first_choice : smallest(active[u], /*consume=*/true);
+      NCDN_ASSERT(done == first_choice);  // min-flood agreement
+      for (std::size_t t : done) st.retire(u, t);
     }
   }
 

@@ -19,6 +19,10 @@
 // with free perfect termination detection.  That is the quantity the
 // T-stable comparison (experiment E8) plots, and it can only flatter the
 // baseline the paper's coding algorithms are compared against.
+//
+// State: one k-bit mask per node of its known, unfinalized payload ranks
+// (plus, pipelined, one of the ranks not yet streamed this pass); a message
+// is a mask's first B set bits.  Memory: 2 * n * ceil(k/64) words.
 #pragma once
 
 #include "core/machine.hpp"

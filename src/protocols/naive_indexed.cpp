@@ -1,7 +1,6 @@
 #include "protocols/naive_indexed.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "core/bits.hpp"
 #include "protocols/rlnc_broadcast.hpp"
@@ -11,11 +10,11 @@ namespace ncdn {
 namespace {
 
 struct id_flood_msg {
-  std::vector<std::uint64_t> ids;  // packed token ids
+  std::vector<std::size_t> tokens;  // token indices (wire: packed ids)
   bool fail = false;
   std::size_t id_bits = 0;
   std::size_t bit_size() const noexcept {
-    return ids.size() * id_bits + 1;
+    return tokens.size() * id_bits + 1;
   }
 };
 
@@ -35,10 +34,6 @@ round_task<protocol_result> naive_indexed_machine(
   // phase, and the flood carries m IDs per message.
   const std::size_t m = std::max<std::size_t>(1, cfg.b_bits / (2 * id_bits));
 
-  // packed id -> token index.
-  std::vector<std::uint64_t> packed_of(k);
-  for (std::size_t t = 0; t < k; ++t) packed_of[t] = dist.tokens[t].id.packed();
-
   const std::size_t max_iters =
       cfg.max_iterations != 0 ? cfg.max_iterations : 8 + 4 * ceil_div(k, m) * 2;
 
@@ -46,37 +41,36 @@ round_task<protocol_result> naive_indexed_machine(
   const round_t start = net.rounds_elapsed();
   std::vector<bool> raise_fail(n, false);
   std::vector<std::vector<std::size_t>> last_iter_tokens(n);
+  // known[u]: IDs node u has seen this flood, as a k-bit mask over token
+  // indices.  Tokens are sorted by (origin, seq), so index order is packed-ID
+  // order and the m smallest IDs are the mask's first m set bits.
+  std::vector<bitvec> known(n);
+  auto smallest = [&](node_id u) {
+    std::vector<std::size_t> out;
+    for (std::size_t t = known[u].first_set(); t < k && out.size() < m;
+         t = known[u].first_set_from(t + 1)) {
+      out.push_back(t);
+    }
+    return out;
+  };
 
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
     // --- min-flood of the m smallest unretired IDs (n rounds) ---
-    std::vector<std::set<std::uint64_t>> known(n);
     std::vector<bool> fail_bit(raise_fail.begin(), raise_fail.end());
     std::fill(raise_fail.begin(), raise_fail.end(), false);
-    for (node_id u = 0; u < n; ++u) {
-      const bitvec& mask = st.remaining_mask(u);
-      for (std::size_t t = mask.first_set(); t < mask.size();
-           t = mask.first_set_from(t + 1)) {
-        known[u].insert(packed_of[t]);
-      }
-    }
+    for (node_id u = 0; u < n; ++u) known[u] = st.remaining_mask(u);
     for (std::size_t r = 0; r < n; ++r) {
       net.step<id_flood_msg>(
           st,
           [&](node_id u, rng&) -> std::optional<id_flood_msg> {
-            id_flood_msg msg;
-            msg.id_bits = id_bits;
-            msg.fail = fail_bit[u];
-            for (std::uint64_t id : known[u]) {
-              if (msg.ids.size() >= m) break;
-              msg.ids.push_back(id);
-            }
-            if (msg.ids.empty() && !msg.fail) return std::nullopt;
+            id_flood_msg msg{smallest(u), fail_bit[u], id_bits};
+            if (msg.tokens.empty() && !msg.fail) return std::nullopt;
             return msg;
           },
           [&](node_id u, const std::vector<const id_flood_msg*>& inbox) {
             for (const id_flood_msg* msg : inbox) {
               fail_bit[u] = fail_bit[u] || msg->fail;
-              for (std::uint64_t id : msg->ids) known[u].insert(id);
+              for (std::size_t t : msg->tokens) known[u].set(t);
             }
           });
       co_await next_round;
@@ -93,37 +87,14 @@ round_task<protocol_result> naive_indexed_machine(
     for (auto& v : last_iter_tokens) v.clear();
 
     // All nodes agree on the m smallest (min-flood, full n rounds).
-    std::vector<std::uint64_t> selected;
-    {
-      std::vector<std::uint64_t> first;
-      for (node_id u = 0; u < n; ++u) {
-        std::vector<std::uint64_t> mine;
-        for (std::uint64_t id : known[u]) {
-          if (mine.size() >= m) break;
-          mine.push_back(id);
-        }
-        if (u == 0) {
-          first = mine;
-        } else {
-          NCDN_ASSERT(mine == first);
-        }
-      }
-      selected = std::move(first);
-    }
-    if (selected.empty()) {
+    const std::vector<std::size_t> sel_tokens = smallest(0);
+    for (node_id u = 1; u < n; ++u) NCDN_ASSERT(smallest(u) == sel_tokens);
+    if (sel_tokens.empty()) {
       res.epochs = iter + 1;
       break;  // nothing unretired anywhere
     }
 
     // --- indexed broadcast of the selected tokens (sorted-ID indexing) ---
-    std::vector<std::size_t> sel_tokens;
-    for (std::uint64_t id : selected) {
-      const auto it =
-          std::lower_bound(packed_of.begin(), packed_of.end(), id);
-      NCDN_ASSERT(it != packed_of.end() && *it == id);
-      sel_tokens.push_back(
-          static_cast<std::size_t>(it - packed_of.begin()));
-    }
     rlnc_session session(n, sel_tokens.size(), d);
     session.set_arena(net.arena());
     for (std::size_t i = 0; i < sel_tokens.size(); ++i) {

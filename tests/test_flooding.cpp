@@ -99,6 +99,91 @@ TEST(flooding, larger_messages_cut_rounds_linearly) {
   }
 }
 
+// Emission order on a static path whose node 0 holds all k = 5 tokens, with
+// B = b/d = 2 tokens per message.  Every node must forward the B smallest
+// (by payload) ranks it has not yet sent, so node j learns rank batch
+// {0,1}, {2,3}, {4} one per round (pipelined) or one per n-round phase
+// (phased), and each round's wire carries exactly the modelled token count.
+struct order_log {
+  // learned[r][u]: payload ranks node u first knew after round r + 1.
+  std::vector<std::vector<std::vector<std::size_t>>> learned;
+  std::vector<std::size_t> tokens_on_wire;  // per round
+};
+
+order_log run_single_source_path(std::size_t n, bool pipelined) {
+  constexpr std::size_t k = 5;
+  constexpr std::size_t d = 8;
+  rng r(41);
+  const auto dist = make_distribution(n, k, d, placement::single_source, r);
+  const std::vector<std::size_t> order = payload_order(dist);
+  auto adv = make_static_path(n);
+  network net(n, 2 * d, *adv, 3);
+  token_state st(dist);
+  std::vector<std::vector<bool>> seen(n, std::vector<bool>(k));
+  for (node_id u = 0; u < n; ++u) {
+    for (std::size_t rk = 0; rk < k; ++rk) seen[u][rk] = st.knows(u, order[rk]);
+  }
+  order_log log;
+  net.set_round_hook([&](const round_digest& digest) {
+    auto& round = log.learned.emplace_back(n);
+    for (node_id u = 0; u < n; ++u) {
+      for (std::size_t rk = 0; rk < k; ++rk) {
+        if (!seen[u][rk] && st.knows(u, order[rk])) {
+          seen[u][rk] = true;
+          round[u].push_back(rk);
+        }
+      }
+    }
+    log.tokens_on_wire.push_back(digest.message_bits / d);
+  });
+  flooding_config cfg;
+  cfg.b_bits = 2 * d;
+  cfg.pipelined = pipelined;
+  const protocol_result res = run_rounds(flooding_machine(net, st, cfg));
+  EXPECT_TRUE(res.complete);
+  EXPECT_EQ(res.rounds, log.learned.size());
+  return log;
+}
+
+void expect_batches_arrive_at(const order_log& log, std::size_t n,
+                              std::size_t round_stride) {
+  const std::vector<std::vector<std::size_t>> batches = {{0, 1}, {2, 3}, {4}};
+  for (node_id j = 1; j < n; ++j) {
+    for (std::size_t r = 0; r < log.learned.size(); ++r) {
+      std::vector<std::size_t> want;
+      for (std::size_t i = 0; i < batches.size(); ++i) {
+        if (i * round_stride + j == r + 1) want = batches[i];
+      }
+      EXPECT_EQ(log.learned[r][j], want) << "node " << j << " round " << r + 1;
+    }
+  }
+}
+
+TEST(flooding, pipelined_streams_smallest_ranks_first) {
+  const order_log two = run_single_source_path(2, /*pipelined=*/true);
+  expect_batches_arrive_at(two, 2, 1);
+  EXPECT_EQ(two.tokens_on_wire, (std::vector<std::size_t>{2, 4, 3}));
+
+  // Node 0 runs dry after round 3 and restarts its stream from every rank
+  // it knows: round 4 carries its {0,1} again next to node 1's {4} and
+  // node 2's {2,3}.
+  const order_log three = run_single_source_path(3, /*pipelined=*/true);
+  expect_batches_arrive_at(three, 3, 1);
+  EXPECT_EQ(three.tokens_on_wire, (std::vector<std::size_t>{2, 4, 5, 5}));
+}
+
+TEST(flooding, phased_sends_smallest_unfinalized_ranks) {
+  const order_log two = run_single_source_path(2, /*pipelined=*/false);
+  expect_batches_arrive_at(two, 2, 2);
+  EXPECT_EQ(two.tokens_on_wire,
+            (std::vector<std::size_t>{2, 4, 2, 4, 1, 2}));
+
+  const order_log three = run_single_source_path(3, /*pipelined=*/false);
+  expect_batches_arrive_at(three, 3, 3);
+  EXPECT_EQ(three.tokens_on_wire,
+            (std::vector<std::size_t>{2, 4, 6, 2, 4, 6, 1, 2, 3}));
+}
+
 TEST(flooding, completion_tracks_observer_not_schedule) {
   // On a star the tokens spread much faster than the worst-case schedule;
   // completion_round must reflect that while rounds follows the schedule.

@@ -8,6 +8,8 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/session.hpp"
 
@@ -284,6 +286,103 @@ TEST(session, adversary_params_reshape_the_topology) {
   EXPECT_TRUE(rd.complete);
   EXPECT_LE(rd.metrics.observed_completion_round,
             rs.metrics.observed_completion_round);
+}
+
+TEST(session, rejects_out_of_range_round_count_factors) {
+  // Every *_factor multiplies a round count.  A negative one used to wrap
+  // the cast (a hang), a huge one overflowed it, and a phased
+  // token-forwarding phase shorter than n rounds broke min-flood agreement
+  // (an abort).  All are user errors now.
+  const std::vector<std::pair<const char*, const char*>> factors = {
+      {"token-forwarding", "phase_factor"},
+      {"token-forwarding-pipelined", "phase_factor"},
+      {"naive-indexed", "broadcast_factor"},
+      {"greedy-forward", "gather_factor"},
+      {"greedy-forward", "flood_factor"},
+      {"greedy-forward", "broadcast_factor"},
+      {"priority-forward/flooding", "broadcast_factor"},
+      {"priority-forward/charged", "charged_factor"},
+      {"tstable/chunked", "gather_factor"},
+      {"tstable/chunked", "flood_factor"},
+      {"tstable/chunked", "broadcast_cap_factor"},
+      {"centralized-rlnc", "cap_factor"},
+      {"rlnc-direct", "cap_factor"},
+      {"rlnc-sparse", "cap_factor"},
+      {"rlnc-gen", "cap_factor"},
+  };
+  auto expect_rejected = [](const char* proto, const char* key,
+                            const char* value) {
+    const problem prob = tiny_problem(proto);
+    const param_map params = {{key, value}};
+    const std::string spelling = std::string(key) + "=" + value;
+    try {
+      session s(prob, protocol_spec{proto, params},
+                adversary_spec{"permuted-path", {}}, 1);
+      ADD_FAILURE() << proto << " accepted " << spelling;
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(spelling), std::string::npos)
+          << err.what();
+    }
+  };
+  for (const auto& [proto, key] : factors) {
+    expect_rejected(proto, key, "-1");
+    expect_rejected(proto, key, "1e30");
+  }
+  expect_rejected("token-forwarding", "phase_factor", "0");
+  expect_rejected("token-forwarding", "phase_factor", "0.5");
+
+  // The boundaries themselves run: a phased run needs a full n-round
+  // phase, the streaming run only uses the factor for its cap.
+  for (const auto& [proto, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"token-forwarding", "1"}, {"token-forwarding-pipelined", "0"}}) {
+    session s(tiny_problem(proto),
+              protocol_spec{proto, {{"phase_factor", value}}},
+              adversary_spec{"permuted-path", {}}, 1);
+    EXPECT_TRUE(s.run_to_completion().complete) << proto;
+  }
+}
+
+TEST(session, forwarding_statistics_are_pinned_above_golden_sizes) {
+  // The n16 golden never reaches these sizes; pinning the run statistics
+  // keeps a change to the forwarding and min-flood state from moving them
+  // unnoticed.  Each row is `ncdn-run run --alg A --topo T --param ...`
+  // at seed 1 (the problem below is ncdn-run's ad-hoc default).
+  struct pinned {
+    const char* alg;
+    const char* topo;
+    param_map params;
+    round_t rounds;
+    round_t completion_round;
+    std::size_t total_message_bits;
+  };
+  const std::vector<pinned> rows = {
+      {"token-forwarding-pipelined", "t-interval-random",
+       {{"n", "1024"}, {"k", "64"}, {"b", "64"}, {"t", "4"},
+        {"placement", "random-spread"}},
+       30, 30, 1516032},
+      {"token-forwarding", "random-connected",
+       {{"n", "256"}, {"k", "256"}, {"d", "16"}, {"b", "64"}},
+       16384, 16131, 268402256},
+      {"naive-indexed", "permuted-path",
+       {{"n", "128"}, {"k", "128"}, {"b", "64"}},
+       41600, 41472, 74253995},
+  };
+  for (const pinned& row : rows) {
+    problem prob;
+    prob.n = 16;
+    prob.k = 16;
+    prob.d = 8;
+    prob.b = 32;
+    session s(prob, protocol_spec{row.alg, row.params},
+              adversary_spec{row.topo, row.params}, 1);
+    const run_report rep = s.run_to_completion();
+    EXPECT_TRUE(rep.complete) << row.alg;
+    EXPECT_EQ(rep.rounds, row.rounds) << row.alg;
+    EXPECT_EQ(rep.completion_round, row.completion_round) << row.alg;
+    EXPECT_EQ(rep.metrics.total_message_bits, row.total_message_bits)
+        << row.alg;
+  }
 }
 
 TEST(token_state, learn_on_retired_token_stays_constant_time) {
