@@ -3,6 +3,10 @@
 // packed GF(2) path and the generic-field reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "gf/gf2k.hpp"
 #include "gf/gfp.hpp"
 #include "linalg/bitmatrix.hpp"
@@ -424,6 +428,153 @@ TEST(bit_decoder, senses_matches_scalar_reference) {
     bitvec high(k);
     high.set(k - 1);
     EXPECT_EQ(dec.senses(high), scalar_senses(dec, high));
+  }
+}
+
+// Row-per-allocation online elimination: forward-reduce against every
+// basis row in arrival order (one pivot probe each), back-substitute the
+// new pivot out of every row, append.  bit_decoder must reproduce its
+// rows, flags, counters and combinations exactly.
+class reference_decoder {
+ public:
+  reference_decoder(std::size_t coeff_dim, std::size_t payload_bits)
+      : coeff_dim_(coeff_dim), row_bits_(coeff_dim + payload_bits) {}
+
+  bool insert(bitvec row) {
+    const std::size_t w = row.words().size();
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (row.get(pivots_[i])) {
+        row.xor_with(rows_[i]);
+        xors_ += w;
+      }
+    }
+    const std::size_t p = row.first_set();
+    if (p >= coeff_dim_) return false;
+    for (bitvec& other : rows_) {
+      if (other.get(p)) {
+        other.xor_with(row);
+        xors_ += w;
+      }
+    }
+    rows_.push_back(std::move(row));
+    pivots_.push_back(p);
+    return true;
+  }
+
+  std::size_t decodable() const {
+    std::size_t count = 0;
+    for (const bitvec& row : rows_) {
+      if (row.popcount_below(coeff_dim_) == 1) ++count;
+    }
+    return count;
+  }
+
+  /// The basis row pivoting on column c, or nullptr.
+  const bitvec* pivot_row(std::size_t c) const {
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (pivots_[i] == c) return &rows_[i];
+    }
+    return nullptr;
+  }
+
+  template <class Include>
+  std::optional<bitvec> combine(Include include) {
+    if (rows_.empty()) return std::nullopt;
+    bitvec out(row_bits_);
+    for (const bitvec& row : rows_) {
+      if (include()) {
+        out.xor_with(row);
+        xors_ += out.words().size();
+      }
+    }
+    return out;
+  }
+
+  const std::vector<bitvec>& rows() const { return rows_; }
+  std::uint64_t xors() const { return xors_; }
+
+ private:
+  std::size_t coeff_dim_;
+  std::size_t row_bits_;
+  std::vector<bitvec> rows_;
+  std::vector<std::size_t> pivots_;
+  std::uint64_t xors_ = 0;
+};
+
+// The oracle compares observable rows only, so it reads pivot_row through
+// either row representation: the row itself or its word pointer.
+const std::uint64_t* words_of(const bitvec* row) {
+  return row == nullptr ? nullptr : row->words().data();
+}
+[[maybe_unused]] const std::uint64_t* words_of(const std::uint64_t* words) {
+  return words;
+}
+
+TEST(bit_decoder, matches_reference_decoder_across_word_boundaries) {
+  for (std::size_t k : {63u, 64u, 65u, 129u}) {
+    for (std::size_t d : {1u, 63u, 65u}) {
+      rng r(1000 * k + d);
+      // Token rows [e_i | payload_i]; every arrival is a sum of them, so
+      // payloads stay linear in the coefficients.
+      std::vector<bitvec> tokens;
+      for (std::size_t i = 0; i < k; ++i) {
+        bitvec payload(d);
+        payload.randomize(r);
+        bitvec row(k + d);
+        row.set(i);
+        row.copy_bits_from(payload, 0, d, k);
+        tokens.push_back(std::move(row));
+      }
+      bit_decoder dec(k, d);
+      reference_decoder ref(k, d);
+      std::vector<bitvec> fed;
+      for (std::size_t step = 0; step < 3 * k; ++step) {
+        bitvec row(k + d);
+        const std::uint64_t kind = r.below(6);
+        if (kind == 0 && !fed.empty()) {
+          row = fed[r.below(fed.size())];  // duplicate
+        } else if (kind == 1 && fed.size() >= 2) {
+          row = fed[r.below(fed.size())];  // sum of two earlier arrivals
+          row.xor_with(fed[r.below(fed.size())]);
+        } else if (kind == 2) {
+          // Sparse: one to three tokens, so singletons and short rows
+          // exercise the decodable counter.
+          for (std::uint64_t t = r.below(3) + 1; t > 0; --t) {
+            row.xor_with(tokens[r.below(k)]);
+          }
+        } else if (kind != 5) {  // dense; kind 5 stays the zero row
+          for (const bitvec& token : tokens) {
+            if (r.coin()) row.xor_with(token);
+          }
+        }
+        fed.push_back(row);
+        SCOPED_TRACE(testing::Message()
+                     << "k=" << k << " d=" << d << " step=" << step);
+        ASSERT_EQ(dec.insert(row), ref.insert(row));
+        ASSERT_EQ(dec.rank(), ref.rows().size());
+        ASSERT_EQ(dec.decodable_count(), ref.decodable());
+        ASSERT_EQ(dec.xor_word_ops(), ref.xors());
+        ASSERT_EQ(dec.basis(), ref.rows());
+        for (std::size_t c = 0; c < k; ++c) {
+          const std::uint64_t* got = words_of(dec.pivot_row(c));
+          const bitvec* want = ref.pivot_row(c);
+          ASSERT_EQ(got == nullptr, want == nullptr) << "c=" << c;
+          if (want == nullptr) continue;
+          const std::vector<std::uint64_t>& w = want->words();
+          ASSERT_TRUE(std::equal(w.begin(), w.end(), got)) << "c=" << c;
+        }
+        if (step % 8 != 0) continue;
+        // Combinations from identical rng states, charged identically.
+        rng a(step), b(step);
+        const auto coin = ref.combine([&b] { return b.coin(); });
+        ASSERT_EQ(dec.random_combination(a), coin);
+        const auto sparse = ref.combine([&b] { return b.bernoulli(0.3); });
+        ASSERT_EQ(dec.sparse_combination(a, 0.3), sparse);
+        ASSERT_EQ(a(), b());  // same number of draws
+        ASSERT_EQ(dec.xor_word_ops(), ref.xors());
+      }
+      EXPECT_TRUE(dec.complete()) << "k=" << k << " d=" << d;
+    }
   }
 }
 
