@@ -54,7 +54,7 @@ int main() {
       row.set(i);
       row.copy_bits_from(p, 0, d, k);
       a.insert(row);
-      if (i != missing) b_dec.insert(std::move(row));
+      if (i != missing) b_dec.insert(row);
     }
     bitvec xor_all(k + d);
     for (const bitvec& row : a.basis()) xor_all.xor_with(row);

@@ -91,7 +91,7 @@ void bm_bit_decoder_full_decode(benchmark::State& state) {
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source.insert(row);
   }
   std::vector<bitvec> stream;
   for (std::size_t i = 0; i < 2 * k; ++i) {

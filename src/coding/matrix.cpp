@@ -108,10 +108,13 @@ class grouped_strategy final : public decoder_strategy {
     for (generation& g : gens_) {
       if (g.start <= lo && hi < g.start + g.width) {
         if (narrow_) {
-          bitvec slim(g.width + item_bits_);
-          slim.copy_bits_from(row, g.start, g.width, 0);
-          slim.copy_bits_from(row, items_, item_bits_, g.width);
-          absorb(g, std::move(slim));
+          // Rebuilt in place: re-adopting its own storage zero-fills
+          // without allocating once the widest window has been seen.
+          slim_ = bitvec(g.width + item_bits_,
+                         std::move(slim_).release_storage());
+          slim_.copy_bits_from(row, g.start, g.width, 0);
+          slim_.copy_bits_from(row, items_, item_bits_, g.width);
+          absorb(g, slim_);
         } else {
           absorb(g, row);
         }
@@ -174,9 +177,9 @@ class grouped_strategy final : public decoder_strategy {
   // Eliminates one arrival in g.  Decodability is monotone and tokens in a
   // shared band may decode in either window, so newly decodable tokens are
   // recorded once, by scanning the window when g's singleton count grows.
-  void absorb(generation& g, bitvec row) {
+  void absorb(generation& g, const bitvec& row) {
     const std::size_t before = g.dec.decodable_count();
-    g.dec.insert(std::move(row));
+    g.dec.insert(row);
     if (g.dec.decodable_count() == before) return;
     for (std::size_t i = g.start; i < g.start + g.width; ++i) {
       if (!decoded_.get(i) && g.dec.can_decode(column(g, i))) {
@@ -193,6 +196,7 @@ class grouped_strategy final : public decoder_strategy {
   std::vector<generation> gens_;
   bitvec decoded_;  // tokens decodable in some window
   std::size_t decoded_count_ = 0;
+  bitvec slim_;  // narrow path: the arrival as [window | payload]
 };
 
 // --- emission helpers -------------------------------------------------------
@@ -201,13 +205,14 @@ bool include_row(rng& r, bool dense, double rho) {
   return dense ? r.coin() : r.bernoulli(rho);
 }
 
-// The full-span draw: coin/Bernoulli over basis() in storage order.
+// The full-span draw: coin/Bernoulli over the basis in storage (arrival)
+// order.
 bitvec combine_span(const bit_decoder& dec, rng& r, word_arena* pool,
                     std::uint64_t* xor_words, bool dense, double rho) {
   bitvec out = make_row(pool, dec.row_bits());
-  for (const bitvec& row : dec.basis()) {
+  for (std::size_t i = 0; i < dec.rank(); ++i) {
     if (include_row(r, dense, rho)) {
-      out.xor_with(row);
+      out.xor_words(dec.row_words(i));
       *xor_words += out.words().size();
     }
   }
@@ -225,9 +230,9 @@ bitvec combine_generation(const decoder_strategy& dec,
   const std::size_t first = g.narrow ? 0 : g.start;  // window's first column
   bitvec acc = make_row(pool, g.dec->row_bits());
   for (std::size_t c = first; c < first + g.width; ++c) {
-    const bitvec* row = g.dec->pivot_row(c);
+    const std::uint64_t* row = g.dec->pivot_row(c);
     if (row != nullptr && include_row(r, dense, rho)) {
-      acc.xor_with(*row);
+      acc.xor_words(row);
       *xor_words += acc.words().size();
     }
   }

@@ -97,7 +97,8 @@ class decoder_strategy {
 
   /// Emission surface.  A schedule combines a generation group's rows in
   /// pivot order (the window's columns walked through
-  /// bit_decoder::pivot_row) and the full-span group's in basis() order.
+  /// bit_decoder::pivot_row) and the full-span group's in arrival order
+  /// (bit_decoder::row_words).
   virtual bool grouped() const = 0;
   virtual std::size_t group_count() const = 0;
   virtual group_ref group(std::size_t gi) const = 0;

@@ -77,12 +77,14 @@ double param_reader::real(const std::string& key, double fallback) {
 double param_reader::factor(const std::string& key, double fallback,
                             double scale, double min) {
   const double parsed = real(key, fallback);
-  // 2^64: the first product a cast to a round count cannot hold.
-  if (parsed >= min && parsed * scale < 18446744073709551616.0) return parsed;
+  // 2^32 rounds: far past any whp bound the factors scale, and low enough
+  // that every accepted factor asks for a run that ends (below a 2^64
+  // cast limit, phase_factor=1e15 would schedule ~1.6e16 rounds).
+  if (parsed >= min && parsed * scale < 4294967296.0) return parsed;
   char want[96];
   std::snprintf(want, sizeof want,
-                "round-count factor (need >= %g, times %g below 2^64)", min,
-                scale);
+                "round-count factor (need >= %g, times %g below 2^32 rounds)",
+                min, scale);
   const std::string* v = raw(key);
   bad_param(context_, key, v != nullptr ? *v : std::to_string(parsed), want);
 }

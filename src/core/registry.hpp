@@ -84,7 +84,8 @@ class param_reader {
   std::uint64_t u64(const std::string& key, std::uint64_t fallback);
   double real(const std::string& key, double fallback);
   /// A number >= `min` whose product with `scale`, the round count it
-  /// multiplies (n, n + k, ...), fits a round_t; anything else throws.
+  /// multiplies (n, n + k, ...), stays below 2^32 rounds; anything else
+  /// throws.
   double factor(const std::string& key, double fallback, double scale,
                 double min = 0.0);
   bool flag(const std::string& key, bool fallback);

@@ -64,9 +64,13 @@ class bitvec {
   /// this ^= other (vector addition over GF(2)).
   void xor_with(const bitvec& other) noexcept {
     NCDN_EXPECTS(bits_ == other.bits_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] ^= other.words_[w];
-    }
+    xor_words(other.words_.data());
+  }
+
+  /// this ^= the row stored at `src`, which holds words().size() words
+  /// with zero bits past size() (e.g. a bit_decoder basis row).
+  void xor_words(const std::uint64_t* src) noexcept {
+    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] ^= src[w];
   }
 
   /// Index of first set bit, or size() if none.
@@ -137,11 +141,16 @@ class bitvec {
   /// [coefficients | payload] row needs no slicing.  (Bits past size() are
   /// zero by invariant, so the overlap word at the boundary is exact.)
   bool dot(const bitvec& other) const noexcept {
-    const std::size_t common = std::min(words_.size(), other.words_.size());
+    return words_.size() <= other.words_.size()
+               ? dot_words(other.words_.data())
+               : other.dot_words(words_.data());
+  }
+
+  /// Dot product against the row stored at `src`, which holds at least
+  /// words().size() words; only those are read.
+  bool dot_words(const std::uint64_t* src) const noexcept {
     std::uint64_t acc = 0;
-    for (std::size_t w = 0; w < common; ++w) {
-      acc ^= words_[w] & other.words_[w];
-    }
+    for (std::size_t w = 0; w < words_.size(); ++w) acc ^= words_[w] & src[w];
     return (std::popcount(acc) & 1) != 0;
   }
 
@@ -159,6 +168,15 @@ class bitvec {
   void copy_bits_from(const bitvec& src, std::size_t src_begin,
                       std::size_t len, std::size_t dst_begin) noexcept {
     NCDN_EXPECTS(src_begin + len <= src.size());
+    copy_bits_from(src.words_.data(), src.words_.size(), src_begin, len,
+                   dst_begin);
+  }
+
+  /// The same copy from a row stored as `src_words` words at `src`.
+  void copy_bits_from(const std::uint64_t* src, std::size_t src_words,
+                      std::size_t src_begin, std::size_t len,
+                      std::size_t dst_begin) noexcept {
+    NCDN_EXPECTS(src_begin + len <= src_words * 64);
     NCDN_EXPECTS(dst_begin + len <= bits_);
     std::size_t sbit = src_begin;
     std::size_t dbit = dst_begin;
@@ -171,10 +189,8 @@ class bitvec {
       // source word read as zero; only the low `chunk` bits are used).
       const std::size_t sw = sbit >> 6;
       const std::size_t soff = sbit & 63;
-      std::uint64_t v = src.words_[sw] >> soff;
-      if (soff != 0 && sw + 1 < src.words_.size()) {
-        v |= src.words_[sw + 1] << (64 - soff);
-      }
+      std::uint64_t v = src[sw] >> soff;
+      if (soff != 0 && sw + 1 < src_words) v |= src[sw + 1] << (64 - soff);
       const std::uint64_t keep =
           chunk == 64 ? ~0ULL : ((1ULL << chunk) - 1);
       words_[dw] = (words_[dw] & ~(keep << doff)) | ((v & keep) << doff);

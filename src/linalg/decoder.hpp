@@ -13,6 +13,20 @@
 //   field_decoder<F>   — any finite_field F (GF(2^k) for hop-failure-rate
 //                        experiments, mersenne61 for §6 derandomization).
 //
+// bit_decoder storage: the basis lives in one contiguous word buffer,
+// rank x words_for_bits(coeff_dim + payload_bits) words, rows back to back
+// in arrival order (row_words(i)), next to a pivot column -> row index
+// (pivot_row(c)) and a coeff_dim-bit mask of the pivot columns.  insert
+// copies the arrival into a reused scratch row, so a non-innovative
+// arrival allocates nothing and an innovative one appends its words.
+// Forward elimination walks the set bits of row & pivot_mask instead of
+// probing one pivot bit per basis row.  The two walks XOR the same rows:
+// in RREF no basis row has a 1 in another row's pivot column, so XORing
+// one basis row into the arrival never changes the arrival's bit in any
+// other pivot column, and the rows XORed are exactly those whose pivot
+// bit the arrival carried on arrival.  XOR is commutative, so the reduced
+// row, the basis and xor_word_ops() do not depend on the walk order.
+//
 // Messages in the paper are random linear combinations of *all received
 // messages*; combining the decoder's basis rows spans the same subspace and
 // the projection analysis (Lemma 5.2) applies verbatim to any random
@@ -20,10 +34,14 @@
 // Recoding from the basis is also what practical RLNC implementations do.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/arena.hpp"
+#include "core/bits.hpp"
 #include "core/contracts.hpp"
 #include "gf/field.hpp"
 #include "linalg/bitvec.hpp"
@@ -33,51 +51,49 @@ namespace ncdn {
 class bit_decoder {
  public:
   bit_decoder() = default;
-  bit_decoder(std::size_t coeff_dim, std::size_t payload_bits)
-      : coeff_dim_(coeff_dim),
-        payload_bits_(payload_bits),
-        pivot_row_(coeff_dim, npos) {}
+  bit_decoder(std::size_t coeff_dim, std::size_t payload_bits) {
+    reset(coeff_dim, payload_bits);
+  }
 
   std::size_t coeff_dim() const noexcept { return coeff_dim_; }
   std::size_t payload_bits() const noexcept { return payload_bits_; }
   std::size_t row_bits() const noexcept { return coeff_dim_ + payload_bits_; }
-  std::size_t rank() const noexcept { return rows_.size(); }
+  std::size_t rank() const noexcept { return rank_; }
   bool complete() const noexcept { return rank() == coeff_dim_; }
 
-  /// Inserts a coded row; returns true iff it was innovative.
+  /// Inserts a coded row; returns true iff it was innovative.  The row is
+  /// eliminated in a reused scratch row, so a non-innovative arrival
+  /// allocates nothing.
   /// Precondition: a row whose coefficient part eliminates to zero must
   /// eliminate to the all-zero row (payloads are linear in coefficients);
   /// violating rows indicate corrupted input and trip a contract.
-  bool insert(bitvec row) {
-    NCDN_EXPECTS(row.size() == row_bits());
-    const std::size_t w = row.words().size();
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (row.get(pivots_[i])) {
-        row.xor_with(rows_[i]);
-        xor_words_ += w;
-      }
-    }
-    const std::size_t p = row.first_set();
+  bool insert(const bitvec& arrival) {
+    NCDN_EXPECTS(arrival.size() == row_bits());
+    std::uint64_t* row = scratch_.data();
+    std::copy(arrival.words().begin(), arrival.words().end(), row);
+    xor_words_ += reduce(row) * row_words_;
+    const std::size_t p = first_set(row);
     if (p >= coeff_dim_) {
-      NCDN_ASSERT(p == row.size());  // consistency: no pivot inside payload
+      NCDN_ASSERT(p == row_bits());  // consistency: no pivot inside payload
       return false;
     }
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (rows_[i].get(p)) {
-        rows_[i].xor_with(row);
-        xor_words_ += w;
+    for (std::size_t i = 0; i < rank_; ++i) {
+      std::uint64_t* other = store_.data() + i * row_words_;
+      if (bit(other, p)) {
+        xor_into(other, row);
+        xor_words_ += row_words_;
         // Back-substitution can strip a row down to its pivot alone; a
         // singleton never loses that status (no later row carries its
         // pivot column), so counting the 0 -> 1 transitions here keeps
         // decodable_count() exact in O(coeff words) per touched row.
-        if (rows_[i].popcount_below(coeff_dim_) == 1) ++decodable_;
+        if (coeff_popcount(other) == 1) ++decodable_;
       }
     }
-    if (row.popcount_below(coeff_dim_) == 1) ++decodable_;
+    if (coeff_popcount(row) == 1) ++decodable_;
     NCDN_AUDIT(pivot_row_[p] == npos);  // pivot columns are claimed once
-    pivot_row_[p] = rows_.size();
-    rows_.push_back(std::move(row));
-    pivots_.push_back(p);
+    pivot_row_[p] = rank_++;
+    pivot_mask_[p >> 6] |= 1ULL << (p & 63);
+    store_.insert(store_.end(), row, row + row_words_);
     NCDN_AUDIT(audit_rref());
     NCDN_AUDIT(audit_decodable());
     return true;
@@ -88,12 +104,12 @@ class bit_decoder {
   /// supplies the output row's storage (identical contents either way).
   std::optional<bitvec> random_combination(rng& r,
                                            word_arena* pool = nullptr) const {
-    if (rows_.empty()) return std::nullopt;
+    if (rank_ == 0) return std::nullopt;
     bitvec out = pool != nullptr ? pool->make(row_bits()) : bitvec(row_bits());
-    for (const bitvec& row : rows_) {
+    for (std::size_t i = 0; i < rank_; ++i) {
       if (r.coin()) {
-        out.xor_with(row);
-        xor_words_ += out.words().size();
+        out.xor_words(row_words(i));
+        xor_words_ += row_words_;
       }
     }
     return out;
@@ -105,12 +121,12 @@ class bit_decoder {
   /// row, like random_combination, but from the Bernoulli stream.
   std::optional<bitvec> sparse_combination(rng& r, double rho,
                                            word_arena* pool = nullptr) const {
-    if (rows_.empty()) return std::nullopt;
+    if (rank_ == 0) return std::nullopt;
     bitvec out = pool != nullptr ? pool->make(row_bits()) : bitvec(row_bits());
-    for (const bitvec& row : rows_) {
+    for (std::size_t i = 0; i < rank_; ++i) {
       if (r.bernoulli(rho)) {
-        out.xor_with(row);
-        xor_words_ += out.words().size();
+        out.xor_words(row_words(i));
+        xor_words_ += row_words_;
       }
     }
     return out;
@@ -118,12 +134,12 @@ class bit_decoder {
 
   /// True iff some basis row's coefficient part is non-orthogonal to mu
   /// (Definition 5.1 "senses"; equivalent over the received span).
-  /// Word-parallel via bitvec::dot — mu is coeff_dim bits, so the dot
-  /// never touches a row's payload words.
+  /// Word-parallel via bitvec::dot_words — mu is coeff_dim bits, so the
+  /// dot never touches a row's payload words.
   bool senses(const bitvec& mu) const {
     NCDN_EXPECTS(mu.size() == coeff_dim_);
-    for (const bitvec& row : rows_) {
-      if (mu.dot(row)) return true;
+    for (std::size_t i = 0; i < rank_; ++i) {
+      if (mu.dot_words(row_words(i))) return true;
     }
     return false;
   }
@@ -135,9 +151,8 @@ class bit_decoder {
     NCDN_EXPECTS(i < coeff_dim_);
     // In RREF: e_i is in the span iff the row pivoting on i has no other
     // coefficient entries.
-    const std::size_t r = pivot_row_[i];
-    if (r == npos) return false;
-    return rows_[r].popcount_below(coeff_dim_) == 1;
+    const std::uint64_t* row = pivot_row(i);
+    return row != nullptr && coeff_popcount(row) == 1;
   }
 
   /// Payload of token i; requires can_decode(i).  (complete() implies every
@@ -145,27 +160,44 @@ class bit_decoder {
   /// satisfy this unchanged; per-token early decode is now legal too.)
   bitvec decode(std::size_t i) const {
     NCDN_EXPECTS(can_decode(i));
-    return rows_[pivot_row_[i]].slice(coeff_dim_, payload_bits_);
+    bitvec out(payload_bits_);
+    out.copy_bits_from(pivot_row(i), row_words_, coeff_dim_, payload_bits_,
+                       0);
+    return out;
   }
 
   /// True iff `row` is already in the received span (non-mutating).
-  bool in_span(bitvec row) const {
+  bool in_span(const bitvec& row) const {
     NCDN_EXPECTS(row.size() == row_bits());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (row.get(pivots_[i])) row.xor_with(rows_[i]);
-    }
-    return row.first_set() == row.size();
+    std::vector<std::uint64_t> words = row.words();
+    reduce(words.data());
+    return first_set(words.data()) == row_bits();
   }
 
-  const std::vector<bitvec>& basis() const noexcept { return rows_; }
+  /// Basis row i (0 <= i < rank(), arrival order) as row_bits() bits in
+  /// words().size() == words_for_bits(row_bits()) words; bits past
+  /// row_bits() are zero.  Valid until the next insert or reset.
+  const std::uint64_t* row_words(std::size_t i) const {
+    NCDN_EXPECTS(i < rank_);
+    return store_.data() + i * row_words_;
+  }
 
-  /// The basis row whose pivot is column c, or nullptr if c is not a
-  /// pivot.  Walking the columns in order visits the basis in pivot order
-  /// (the canonical RREF row order); basis() keeps arrival order.
-  const bitvec* pivot_row(std::size_t c) const {
+  /// The basis row whose pivot is column c (as row_words), or nullptr if c
+  /// is not a pivot.  Walking the columns in order visits the basis in
+  /// pivot order (the canonical RREF row order); row_words keeps arrival
+  /// order.
+  const std::uint64_t* pivot_row(std::size_t c) const {
     NCDN_EXPECTS(c < coeff_dim_);
     const std::size_t r = pivot_row_[c];
-    return r == npos ? nullptr : &rows_[r];
+    return r == npos ? nullptr : store_.data() + r * row_words_;
+  }
+
+  /// Copies of the basis rows in arrival order (tests and diagnostics;
+  /// hot paths read row_words / pivot_row in place).
+  std::vector<bitvec> basis() const {
+    std::vector<bitvec> rows(rank_, bitvec(row_bits()));
+    for (std::size_t i = 0; i < rank_; ++i) rows[i].xor_words(row_words(i));
+    return rows;
   }
 
   /// Number of tokens currently decodable (singleton RREF rows).
@@ -182,9 +214,12 @@ class bit_decoder {
   void reset(std::size_t coeff_dim, std::size_t payload_bits) {
     coeff_dim_ = coeff_dim;
     payload_bits_ = payload_bits;
-    rows_.clear();
-    pivots_.clear();
+    row_words_ = words_for_bits(row_bits());
+    rank_ = 0;
+    store_.clear();
     pivot_row_.assign(coeff_dim, npos);
+    pivot_mask_.assign(words_for_bits(coeff_dim), 0);
+    scratch_.assign(row_words_, 0);
     xor_words_ = 0;
     decodable_ = 0;
   }
@@ -192,19 +227,72 @@ class bit_decoder {
  private:
   static constexpr std::size_t npos = ~std::size_t{0};
 
-  /// Full O(rank^2) RREF audit: every stored row leads with its pivot,
-  /// the pivot->row index agrees, and no pivot column appears in any
-  /// other row.  insert() maintains this incrementally; the audit build
-  /// re-derives it from scratch after every insertion.
-  bool audit_rref() const {
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (rows_[i].first_set() != pivots_[i]) return false;
-      if (pivot_row_[pivots_[i]] != i) return false;
-      for (std::size_t j = 0; j < rows_.size(); ++j) {
-        if (j != i && rows_[j].get(pivots_[i])) return false;
+  static bool bit(const std::uint64_t* row, std::size_t i) noexcept {
+    return ((row[i >> 6] >> (i & 63)) & 1u) != 0;
+  }
+
+  void xor_into(std::uint64_t* dst, const std::uint64_t* src) const noexcept {
+    for (std::size_t w = 0; w < row_words_; ++w) dst[w] ^= src[w];
+  }
+
+  /// Index of the row's first set bit, or row_bits() if it is zero.
+  std::size_t first_set(const std::uint64_t* row) const noexcept {
+    for (std::size_t w = 0; w < row_words_; ++w) {
+      if (row[w] != 0) {
+        return (w << 6) + static_cast<std::size_t>(std::countr_zero(row[w]));
       }
     }
-    return true;
+    return row_bits();
+  }
+
+  /// Set bits among the row's coefficient columns.
+  std::size_t coeff_popcount(const std::uint64_t* row) const noexcept {
+    std::size_t c = 0;
+    for (std::size_t w = 0; w < pivot_mask_.size(); ++w) {
+      std::uint64_t word = row[w];
+      if (const std::size_t tail = coeff_dim_ - (w << 6); tail < 64) {
+        word &= (1ULL << tail) - 1;
+      }
+      c += static_cast<std::size_t>(std::popcount(word));
+    }
+    return c;
+  }
+
+  /// Forward elimination: XORs into `row` the basis row of every pivot
+  /// column it has set, and returns how many rows that was.  Reading a
+  /// word's hits before its XORs is exact because an XOR leaves every
+  /// other pivot bit of `row` as it was (see the file comment).
+  std::size_t reduce(std::uint64_t* row) const noexcept {
+    std::size_t hits = 0;
+    for (std::size_t w = 0; w < pivot_mask_.size(); ++w) {
+      for (std::uint64_t m = row[w] & pivot_mask_[w]; m != 0; m &= m - 1) {
+        const std::size_t c =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(m));
+        xor_into(row, store_.data() + pivot_row_[c] * row_words_);
+        ++hits;
+      }
+    }
+    return hits;
+  }
+
+  /// Full O(rank^2) RREF audit: every claimed pivot column's row leads
+  /// with that column, no other row has a 1 there, the pivot mask marks
+  /// exactly the claimed columns, and every stored row is claimed once.
+  /// insert() maintains this incrementally; the audit build re-derives it
+  /// from scratch after every insertion.
+  bool audit_rref() const {
+    std::size_t claimed = 0;
+    for (std::size_t c = 0; c < coeff_dim_; ++c) {
+      const std::size_t i = pivot_row_[c];
+      if (bit(pivot_mask_.data(), c) != (i != npos)) return false;
+      if (i == npos) continue;
+      ++claimed;
+      if (i >= rank_ || first_set(row_words(i)) != c) return false;
+      for (std::size_t j = 0; j < rank_; ++j) {
+        if (j != i && bit(row_words(j), c)) return false;
+      }
+    }
+    return claimed == rank_ && store_.size() == rank_ * row_words_;
   }
 
   /// Audit rebuild of the incremental decodable counter: the per-column
@@ -219,10 +307,15 @@ class bit_decoder {
 
   std::size_t coeff_dim_ = 0;
   std::size_t payload_bits_ = 0;
-  std::vector<bitvec> rows_;      // maintained in RREF (unordered by pivot)
-  std::vector<std::size_t> pivots_;
-  std::vector<std::size_t> pivot_row_;  // pivot column -> index into rows_
-  std::size_t decodable_ = 0;     // singleton rows (decodable tokens)
+  std::size_t row_words_ = 0;  // words per stored row
+  std::size_t rank_ = 0;
+  // The RREF basis: rank_ rows of row_words_ words each, back to back in
+  // arrival order.
+  std::vector<std::uint64_t> store_;
+  std::vector<std::size_t> pivot_row_;     // pivot column -> row index
+  std::vector<std::uint64_t> pivot_mask_;  // bit c set iff c is a pivot
+  std::vector<std::uint64_t> scratch_;     // insert's working row
+  std::size_t decodable_ = 0;              // singleton rows (decodable)
   mutable std::uint64_t xor_words_ = 0;  // stats only; const combiners count
 };
 

@@ -37,7 +37,7 @@ round_task<protocol_result> centralized_rlnc_machine(
       bitvec row(k + d);
       row.set(t);
       row.copy_bits_from(dist.tokens[t].payload, 0, d, k);
-      decoders[u].insert(std::move(row));
+      decoders[u].insert(row);
     }
   }
   // Decode-delay accounting: initial holdings are bucket-0 decodables.

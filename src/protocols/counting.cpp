@@ -201,7 +201,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
               }
             }
           }
-          dec[leader].insert(std::move(row));
+          dec[leader].insert(row);
         }
         const round_t bc_rounds = 2 * (phase_len + static_cast<round_t>(
                                                        k_items));

@@ -7,6 +7,15 @@
 // rounds.  Total: O(nk log n / b) rounds — only a log n / d factor better
 // than forwarding, which is the paper's motivation for replacing
 // flooding-based indexing with *gathering* (greedy/priority-forward).
+//
+// Completion round: nodes learn an iteration's tokens only after its
+// broadcast phase has returned, so the result's completion_round is the
+// last broadcast round R, while the session's per-round observer first
+// sees every node complete at the end of round R + 1 (the first round of
+// the flood that confirms nothing is left):
+// metrics.observed_completion_round == completion_round + 1 (unless the
+// iteration cap ends the run at R).  The committed goldens carry both
+// fields, so the offset stays; tests/test_registry.cpp pins it.
 #pragma once
 
 #include "core/machine.hpp"

@@ -134,7 +134,7 @@ void tstable_patch_session::seed(node_id u, std::size_t index,
   bitvec row(plan_.items + plan_.item_bits);
   row.set(index);
   row.copy_bits_from(payload, 0, plan_.item_bits, plan_.items);
-  decoders_[u].insert(std::move(row));
+  decoders_[u].insert(row);
   delays_.note(u, decoders_[u].decodable_count(), 0);
 }
 
@@ -568,7 +568,7 @@ void chunked_meta_session::seed(node_id u, std::size_t index,
   bitvec row(items_ + item_bits_);
   row.set(index);
   row.copy_bits_from(payload, 0, item_bits_, items_);
-  decoders_[u].insert(std::move(row));
+  decoders_[u].insert(row);
   delays_.note(u, decoders_[u].decodable_count(), 0);
 }
 

@@ -414,7 +414,7 @@ TEST(bit_decoder, senses_matches_scalar_reference) {
       coeff.randomize(r);
       bitvec row(k + d);
       row.copy_bits_from(coeff, 0, k, 0);
-      dec.insert(std::move(row));
+      dec.insert(row);
     }
     for (int trial = 0; trial < 200; ++trial) {
       bitvec mu(k);
@@ -503,7 +503,7 @@ class reference_decoder {
 
 // The oracle compares observable rows only, so it reads pivot_row through
 // either row representation: the row itself or its word pointer.
-const std::uint64_t* words_of(const bitvec* row) {
+[[maybe_unused]] const std::uint64_t* words_of(const bitvec* row) {
   return row == nullptr ? nullptr : row->words().data();
 }
 [[maybe_unused]] const std::uint64_t* words_of(const std::uint64_t* words) {
@@ -684,7 +684,7 @@ TEST(decoder_cross_check, packed_and_generic_agree_on_payloads_and_sensing) {
       bitvec row(k + d);
       row.set(i);
       row.copy_bits_from(p, 0, d, k);
-      source.insert(std::move(row));
+      source.insert(row);
     }
 
     bit_decoder packed(k, d);

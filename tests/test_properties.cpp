@@ -56,7 +56,7 @@ TEST_P(decoder_properties, rank_is_insert_order_invariant) {
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source.insert(row);
   }
   std::vector<bitvec> stream;
   for (std::size_t i = 0; i < k + 5; ++i) {
@@ -83,7 +83,7 @@ TEST_P(decoder_properties, innovative_iff_outside_current_span) {
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source.insert(row);
   }
   bit_decoder sink(k, d);
   for (int i = 0; i < 40; ++i) {
@@ -105,7 +105,7 @@ TEST_P(decoder_properties, can_decode_is_monotone_and_exact) {
     bitvec row(k + d);
     row.set(i);
     row.copy_bits_from(p, 0, d, k);
-    source.insert(std::move(row));
+    source.insert(row);
   }
   bit_decoder sink(k, d);
   std::vector<bool> was_decodable(k, false);

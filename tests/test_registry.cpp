@@ -290,9 +290,10 @@ TEST(session, adversary_params_reshape_the_topology) {
 
 TEST(session, rejects_out_of_range_round_count_factors) {
   // Every *_factor multiplies a round count.  A negative one used to wrap
-  // the cast (a hang), a huge one overflowed it, and a phased
-  // token-forwarding phase shorter than n rounds broke min-flood agreement
-  // (an abort).  All are user errors now.
+  // the cast (a hang), a huge one overflowed it, one that fit the cast
+  // could still schedule ~1e16 rounds (1e15, a practical hang), and a
+  // phased token-forwarding phase shorter than n rounds broke min-flood
+  // agreement (an abort).  All are user errors now.
   const std::vector<std::pair<const char*, const char*>> factors = {
       {"token-forwarding", "phase_factor"},
       {"token-forwarding-pipelined", "phase_factor"},
@@ -326,10 +327,18 @@ TEST(session, rejects_out_of_range_round_count_factors) {
   };
   for (const auto& [proto, key] : factors) {
     expect_rejected(proto, key, "-1");
+    expect_rejected(proto, key, "1e15");
     expect_rejected(proto, key, "1e30");
   }
   expect_rejected("token-forwarding", "phase_factor", "0");
   expect_rejected("token-forwarding", "phase_factor", "0.5");
+  // The ceiling is 2^32 rounds: 5e8 * n = 4e9 is accepted, 6e8 * n = 4.8e9
+  // is not (n = 8).
+  expect_rejected("token-forwarding", "phase_factor", "6e8");
+  EXPECT_NO_THROW(session(tiny_problem("token-forwarding"),
+                          protocol_spec{"token-forwarding",
+                                        {{"phase_factor", "5e8"}}},
+                          adversary_spec{"permuted-path", {}}, 1));
 
   // The boundaries themselves run: a phased run needs a full n-round
   // phase, the streaming run only uses the factor for its cap.
@@ -354,19 +363,20 @@ TEST(session, forwarding_statistics_are_pinned_above_golden_sizes) {
     param_map params;
     round_t rounds;
     round_t completion_round;
+    round_t observed_completion_round;
     std::size_t total_message_bits;
   };
   const std::vector<pinned> rows = {
       {"token-forwarding-pipelined", "t-interval-random",
        {{"n", "1024"}, {"k", "64"}, {"b", "64"}, {"t", "4"},
         {"placement", "random-spread"}},
-       30, 30, 1516032},
+       30, 30, 30, 1516032},
       {"token-forwarding", "random-connected",
        {{"n", "256"}, {"k", "256"}, {"d", "16"}, {"b", "64"}},
-       16384, 16131, 268402256},
+       16384, 16131, 16131, 268402256},
       {"naive-indexed", "permuted-path",
        {{"n", "128"}, {"k", "128"}, {"b", "64"}},
-       41600, 41472, 74253995},
+       41600, 41472, 41473, 74253995},
   };
   for (const pinned& row : rows) {
     problem prob;
@@ -380,9 +390,40 @@ TEST(session, forwarding_statistics_are_pinned_above_golden_sizes) {
     EXPECT_TRUE(rep.complete) << row.alg;
     EXPECT_EQ(rep.rounds, row.rounds) << row.alg;
     EXPECT_EQ(rep.completion_round, row.completion_round) << row.alg;
+    EXPECT_EQ(rep.metrics.observed_completion_round,
+              row.observed_completion_round)
+        << row.alg;
     EXPECT_EQ(rep.metrics.total_message_bits, row.total_message_bits)
         << row.alg;
   }
+}
+
+TEST(session, naive_indexed_completes_one_round_before_the_observer_sees_it) {
+  // naive-indexed learns an iteration's tokens after its broadcast phase
+  // returns, so the completing round R is reported as completion_round
+  // while the session's per-round observer first sees every node complete
+  // at the end of round R + 1, the first round of the confirming flood.
+  // The n16 goldens carry both fields, so the offset is pinned here rather
+  // than changed.
+  problem prob;
+  prob.n = 16;
+  prob.k = 16;
+  prob.d = 8;
+  prob.b = 32;
+  for (const char* topo : {"permuted-path", "random-connected",
+                           "static-star"}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      session s(prob, protocol_spec{"naive-indexed", {}},
+                adversary_spec{topo, {}}, seed);
+      const run_report rep = s.run_to_completion();
+      ASSERT_TRUE(rep.complete) << topo << " seed " << seed;
+      EXPECT_EQ(rep.metrics.observed_completion_round,
+                rep.completion_round + 1)
+          << topo << " seed " << seed;
+    }
+  }
+  // forwarding_statistics_are_pinned_above_golden_sizes pins the same
+  // offset at n = k = 128.
 }
 
 TEST(token_state, learn_on_retired_token_stays_constant_time) {
