@@ -56,33 +56,42 @@ TEST(centralized, works_on_sorted_path_adversary) {
   EXPECT_TRUE(res.complete);
 }
 
-class counting_suite
-    : public ::testing::TestWithParam<std::pair<std::size_t, counting_engine>> {
+struct counting_case {
+  std::size_t n;
+  counting_engine engine;
+  // Pinned for the seeds below, so that a change to either engine's UID
+  // flood state cannot move a run unnoticed.
+  round_t rounds;
+  std::size_t final_estimate;
 };
 
+class counting_suite : public ::testing::TestWithParam<counting_case> {};
+
 TEST_P(counting_suite, counts_exactly) {
-  const auto [n, engine] = GetParam();
-  auto adv = make_permuted_path(n, 29);
-  network net(n, 128, *adv, 31);
+  const counting_case c = GetParam();
+  auto adv = make_permuted_path(c.n, 29);
+  network net(c.n, 128, *adv, 31);
   counting_config cfg;
   cfg.b_bits = 128;
-  cfg.engine = engine;
+  cfg.engine = c.engine;
   const counting_result res = run_counting(net, cfg);
   EXPECT_TRUE(res.correct);
-  EXPECT_EQ(res.count, n);
+  EXPECT_EQ(res.count, c.n);
   // Estimates double from 2; the winning estimate is in [n, 2n).
-  EXPECT_GE(res.final_estimate, n);
-  EXPECT_LT(res.final_estimate, 2 * n + 2);
+  EXPECT_GE(res.final_estimate, c.n);
+  EXPECT_LT(res.final_estimate, 2 * c.n + 2);
+  EXPECT_EQ(res.rounds, c.rounds);
+  EXPECT_EQ(res.final_estimate, c.final_estimate);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     sizes_and_engines, counting_suite,
-    ::testing::Values(std::pair{5ul, counting_engine::flooding},
-                      std::pair{12ul, counting_engine::flooding},
-                      std::pair{23ul, counting_engine::flooding},
-                      std::pair{5ul, counting_engine::coding},
-                      std::pair{12ul, counting_engine::coding},
-                      std::pair{23ul, counting_engine::coding}));
+    ::testing::Values(counting_case{5, counting_engine::flooding, 72, 8},
+                      counting_case{12, counting_engine::flooding, 232, 16},
+                      counting_case{23, counting_engine::flooding, 808, 32},
+                      counting_case{5, counting_engine::coding, 214, 8},
+                      counting_case{12, counting_engine::coding, 478, 16},
+                      counting_case{23, counting_engine::coding, 996, 32}));
 
 TEST(counting, works_on_static_and_geometric_topologies) {
   for (int which = 0; which < 2; ++which) {

@@ -377,6 +377,13 @@ TEST(session, forwarding_statistics_are_pinned_above_golden_sizes) {
       {"naive-indexed", "permuted-path",
        {{"n", "128"}, {"k", "128"}, {"b", "64"}},
        41600, 41472, 41473, 74253995},
+      {"priority-forward/flooding", "permuted-path",
+       {{"n", "32"}, {"k", "32"}, {"b", "64"}},
+       1504, 1472, 14, 3580576},
+      {"tstable/patch-gather", "permuted-path",
+       {{"n", "32"}, {"k", "32"}, {"d", "8"}, {"b", "16"},
+        {"t_stability", "256"}},
+       3616, 3328, 3397, 1044650},
   };
   for (const pinned& row : rows) {
     problem prob;
