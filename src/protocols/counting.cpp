@@ -1,24 +1,18 @@
 #include "protocols/counting.hpp"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "coding/budget.hpp"
 #include "core/bits.hpp"
 #include "linalg/decoder.hpp"
+#include "protocols/min_flood.hpp"
 
 namespace ncdn {
 
 namespace {
 
 using uid_t = std::uint32_t;
-
-struct uid_flood_msg {
-  std::vector<uid_t> uids;
-  std::size_t uid_bits = 0;
-  std::size_t bit_size() const noexcept { return uids.size() * uid_bits; }
-};
 
 struct max_msg {
   std::size_t count = 0;
@@ -39,10 +33,13 @@ struct coded_msg_c {
   std::size_t bit_size() const noexcept { return row.size(); }
 };
 
-std::uint64_t set_checksum(const std::set<uid_t>& s) {
+/// Checksum of the UID set whose UID - 1 indices `seen` holds, folded in
+/// ascending UID order.
+std::uint64_t set_checksum(const bitvec& seen) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (uid_t u : s) {
-    h ^= u;
+  for (std::size_t i = seen.first_set(); i < seen.size();
+       i = seen.first_set_from(i + 1)) {
+    h ^= static_cast<uid_t>(i + 1);
     h *= 0x100000001b3ULL;
     h ^= h >> 29;
   }
@@ -57,12 +54,15 @@ counting_result run_counting(network& net, const counting_config& cfg) {
   NCDN_EXPECTS(cfg.b_bits >= ub);
   opaque_view view(n);
 
-  // Self-generated UIDs (uid 0 is reserved as block padding).
+  // Self-generated UIDs (uid 0 is reserved as block padding).  The UID
+  // flood runs over UID - 1, in the same order: `seen` holds every UID a
+  // node has heard of, across attempts; `active` its UIDs not yet finalized
+  // (flooding) or retired (coding) in the current attempt.
   auto uid_of = [](node_id u) { return static_cast<uid_t>(u + 1); };
   auto node_of = [](uid_t id) { return static_cast<node_id>(id - 1); };
-
-  std::vector<std::set<uid_t>> seen(n);
-  for (node_id u = 0; u < n; ++u) seen[u].insert(uid_of(u));
+  const std::size_t batch = std::max<std::size_t>(1, cfg.b_bits / ub);
+  min_flood uids(n, n, batch, ub);
+  for (node_id u = 0; u < n; ++u) uids.add(u, u);
 
   counting_result res;
   const round_t start = net.rounds_elapsed();
@@ -75,81 +75,52 @@ counting_result run_counting(network& net, const counting_config& cfg) {
         std::max<std::size_t>(2, static_cast<std::size_t>(
                                      cfg.safety * static_cast<double>(est))));
 
+    for (node_id u = 0; u < n; ++u) uids.restart(u);
+
     if (cfg.engine == counting_engine::flooding) {
       // Batched UID min-flooding with per-phase finalization.  Agreement on
       // finalized batches is only guaranteed once est >= n; earlier
       // attempts may diverge and are caught by verification.
-      const std::size_t batch = std::max<std::size_t>(1, cfg.b_bits / ub);
       const std::size_t phases = ceil_div(est, batch);
-      std::vector<std::set<uid_t>> active(n);
-      for (node_id u = 0; u < n; ++u) active[u] = seen[u];
       for (std::size_t p = 0; p < phases; ++p) {
-        for (round_t r = 0; r < phase_len; ++r) {
-          net.step<uid_flood_msg>(
-              view,
-              [&](node_id u, rng&) -> std::optional<uid_flood_msg> {
-                uid_flood_msg m;
-                m.uid_bits = ub;
-                for (uid_t id : active[u]) {
-                  if (m.uids.size() >= batch) break;
-                  m.uids.push_back(id);
-                }
-                if (m.uids.empty()) return std::nullopt;
-                return m;
-              },
-              [&](node_id u, const std::vector<const uid_flood_msg*>& inbox) {
-                for (const uid_flood_msg* m : inbox) {
-                  for (uid_t id : m->uids) {
-                    if (seen[u].insert(id).second) active[u].insert(id);
-                  }
-                }
-              });
-        }
-        for (node_id u = 0; u < n; ++u) {
-          auto it = active[u].begin();
-          for (std::size_t i = 0; i < batch && it != active[u].end(); ++i) {
-            it = active[u].erase(it);
-          }
-        }
+        for (round_t r = 0; r < phase_len; ++r) uids.round(net, view);
+        for (node_id u = 0; u < n; ++u) uids.smallest(u, /*consume=*/true);
       }
     } else {
       // Gather-and-code (greedy-forward structure on UIDs as d-bit tokens).
       const coded_budget budget = block_budget(cfg.b_bits, ub);
       const std::size_t epochs = ceil_div(est, budget.tokens_total) + 1;
-      std::vector<std::set<uid_t>> unretired(n);
-      for (node_id u = 0; u < n; ++u) unretired[u] = seen[u];
       for (std::size_t e = 0; e < epochs; ++e) {
         // Random forwarding of UIDs.
-        const std::size_t batch = std::max<std::size_t>(1, cfg.b_bits / ub);
         for (round_t r = 0; r < phase_len; ++r) {
-          net.step<uid_flood_msg>(
+          net.step<min_flood::message>(
               view,
-              [&](node_id u, rng& prng) -> std::optional<uid_flood_msg> {
-                if (unretired[u].empty()) return std::nullopt;
-                uid_flood_msg m;
-                m.uid_bits = ub;
-                std::vector<uid_t> pool(unretired[u].begin(),
-                                        unretired[u].end());
+              [&](node_id u, rng& prng) -> std::optional<min_flood::message> {
+                const bitvec& own = uids.active(u);
+                if (!own.any()) return std::nullopt;
+                std::vector<std::size_t> pool;
+                for (std::size_t i = own.first_set(); i < n;
+                     i = own.first_set_from(i + 1)) {
+                  pool.push_back(i);
+                }
                 const std::size_t take = std::min(batch, pool.size());
                 for (std::size_t i = 0; i < take; ++i) {
                   const std::size_t j = i + prng.below(pool.size() - i);
                   std::swap(pool[i], pool[j]);
-                  m.uids.push_back(pool[i]);
                 }
-                return m;
+                pool.resize(take);
+                return min_flood::message{.items = std::move(pool),
+                                          .item_bits = ub};
               },
-              [&](node_id u, const std::vector<const uid_flood_msg*>& inbox) {
-                for (const uid_flood_msg* m : inbox) {
-                  for (uid_t id : m->uids) {
-                    if (seen[u].insert(id).second) unretired[u].insert(id);
-                  }
-                }
+              [&](node_id u,
+                  const std::vector<const min_flood::message*>& inbox) {
+                uids.deliver(u, inbox);
               });
         }
         // Max-count identification flood.
         std::vector<max_msg> best(n);
         for (node_id u = 0; u < n; ++u) {
-          best[u] = max_msg{unretired[u].size(), uid_of(u), ub + ub};
+          best[u] = max_msg{uids.active(u).popcount(), uid_of(u), ub + ub};
         }
         for (round_t r = 0; r < phase_len; ++r) {
           net.step<max_msg>(
@@ -181,9 +152,11 @@ counting_result run_counting(network& net, const counting_config& cfg) {
         if (!agree || leader_cnt == 0) continue;  // wasted epoch
         const node_id leader = node_of(leader_uid);
         std::vector<uid_t> chosen;
-        for (uid_t id : unretired[leader]) {
-          if (chosen.size() >= budget.tokens_total) break;
-          chosen.push_back(id);
+        const bitvec& pending = uids.active(leader);
+        for (std::size_t i = pending.first_set();
+             i < n && chosen.size() < budget.tokens_total;
+             i = pending.first_set_from(i + 1)) {
+          chosen.push_back(uid_of(static_cast<node_id>(i)));
         }
         const std::size_t k_items =
             ceil_div(chosen.size(), budget.tokens_per_item);
@@ -227,8 +200,8 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                 if (block.get(j * ub + bit)) id |= (1u << bit);
               }
               if (id == 0) continue;  // padding
-              seen[u].insert(id);
-              unretired[u].erase(id);
+              uids.add(u, id - 1);
+              uids.active(u).set(id - 1, false);  // retired
             }
           }
         }
@@ -240,8 +213,9 @@ counting_result run_counting(network& net, const counting_config& cfg) {
     std::vector<bool> bad(n, false);
     std::vector<verify_msg> mine(n);
     for (node_id u = 0; u < n; ++u) {
-      mine[u] = verify_msg{seen[u].size(), set_checksum(seen[u]), ub + 64};
-      if (seen[u].size() > est) bad[u] = true;
+      const bitvec& heard = uids.seen(u);
+      mine[u] = verify_msg{heard.popcount(), set_checksum(heard), ub + 64};
+      if (mine[u].count > est) bad[u] = true;
     }
     for (round_t r = 0; r < phase_len; ++r) {
       net.step<verify_msg>(
@@ -260,7 +234,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
     const bool all_ok =
         std::none_of(bad.begin(), bad.end(), [](bool b) { return b; });
     if (all_ok) {
-      res.count = seen[0].size();
+      res.count = uids.seen(0).popcount();
       break;
     }
     est *= 2;
@@ -269,7 +243,7 @@ counting_result run_counting(network& net, const counting_config& cfg) {
   res.rounds = net.rounds_elapsed() - start;
   res.correct = res.count == n;
   for (node_id u = 0; u < n; ++u) {
-    res.correct = res.correct && seen[u].size() == n;
+    res.correct = res.correct && uids.seen(u).popcount() == n;
   }
   return res;
 }

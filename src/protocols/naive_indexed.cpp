@@ -3,22 +3,10 @@
 #include <algorithm>
 
 #include "core/bits.hpp"
+#include "protocols/min_flood.hpp"
 #include "protocols/rlnc_broadcast.hpp"
 
 namespace ncdn {
-
-namespace {
-
-struct id_flood_msg {
-  std::vector<std::size_t> tokens;  // token indices (wire: packed ids)
-  bool fail = false;
-  std::size_t id_bits = 0;
-  std::size_t bit_size() const noexcept {
-    return tokens.size() * id_bits + 1;
-  }
-};
-
-}  // namespace
 
 round_task<protocol_result> naive_indexed_machine(
     network& net, token_state& st, naive_indexed_config cfg) {
@@ -41,43 +29,18 @@ round_task<protocol_result> naive_indexed_machine(
   const round_t start = net.rounds_elapsed();
   std::vector<bool> raise_fail(n, false);
   std::vector<std::vector<std::size_t>> last_iter_tokens(n);
-  // known[u]: IDs node u has seen this flood, as a k-bit mask over token
-  // indices.  Tokens are sorted by (origin, seq), so index order is packed-ID
-  // order and the m smallest IDs are the mask's first m set bits.
-  std::vector<bitvec> known(n);
-  auto smallest = [&](node_id u) {
-    std::vector<std::size_t> out;
-    for (std::size_t t = known[u].first_set(); t < k && out.size() < m;
-         t = known[u].first_set_from(t + 1)) {
-      out.push_back(t);
-    }
-    return out;
-  };
 
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    // --- min-flood of the m smallest unretired IDs (n rounds) ---
-    std::vector<bool> fail_bit(raise_fail.begin(), raise_fail.end());
+    // --- min-flood of the m smallest unretired IDs (n rounds).  Tokens are
+    //     sorted by (origin, seq), so token-index order is packed-ID order.
+    min_flood ids(n, k, m, id_bits, &raise_fail);
     std::fill(raise_fail.begin(), raise_fail.end(), false);
-    for (node_id u = 0; u < n; ++u) known[u] = st.remaining_mask(u);
+    for (node_id u = 0; u < n; ++u) ids.seed(u, st.remaining_mask(u));
     for (std::size_t r = 0; r < n; ++r) {
-      net.step<id_flood_msg>(
-          st,
-          [&](node_id u, rng&) -> std::optional<id_flood_msg> {
-            id_flood_msg msg{smallest(u), fail_bit[u], id_bits};
-            if (msg.tokens.empty() && !msg.fail) return std::nullopt;
-            return msg;
-          },
-          [&](node_id u, const std::vector<const id_flood_msg*>& inbox) {
-            for (const id_flood_msg* msg : inbox) {
-              fail_bit[u] = fail_bit[u] || msg->fail;
-              for (std::size_t t : msg->tokens) known[u].set(t);
-            }
-          });
+      ids.round(net, st);
       co_await next_round;
     }
-    bool fail_seen = false;
-    for (node_id u = 0; u < n; ++u) fail_seen = fail_seen || fail_bit[u];
-    if (fail_seen) {
+    if (ids.any_fail()) {
       for (node_id u = 0; u < n; ++u) {
         for (std::size_t t : last_iter_tokens[u]) st.reinstate(u, t);
         last_iter_tokens[u].clear();
@@ -87,8 +50,7 @@ round_task<protocol_result> naive_indexed_machine(
     for (auto& v : last_iter_tokens) v.clear();
 
     // All nodes agree on the m smallest (min-flood, full n rounds).
-    const std::vector<std::size_t> sel_tokens = smallest(0);
-    for (node_id u = 1; u < n; ++u) NCDN_ASSERT(smallest(u) == sel_tokens);
+    const std::vector<std::size_t> sel_tokens = ids.agreed(/*consume=*/false);
     if (sel_tokens.empty()) {
       res.epochs = iter + 1;
       break;  // nothing unretired anywhere

@@ -1,12 +1,12 @@
 #include "protocols/priority_forward.hpp"
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 
 #include "coding/budget.hpp"
 #include "core/bits.hpp"
 #include "protocols/greedy_forward.hpp"
+#include "protocols/min_flood.hpp"
 #include "protocols/rlnc_broadcast.hpp"
 
 namespace ncdn {
@@ -16,15 +16,6 @@ namespace {
 /// (priority, origin, block#): lexicographic order; origin/block# double as
 /// the collision tiebreak the paper's "collisions are unlikely" absorbs.
 using announcement = std::tuple<std::uint64_t, node_id, std::uint32_t>;
-
-struct ann_flood_msg {
-  std::vector<announcement> anns;
-  bool fail = false;
-  std::size_t ann_bits = 0;
-  std::size_t bit_size() const noexcept {
-    return anns.size() * ann_bits + 1;
-  }
-};
 
 }  // namespace
 
@@ -106,7 +97,14 @@ round_task<priority_forward_result> priority_forward_machine(
       }
     }
 
-    // 2. Select + index the s_target lowest-priority blocks.
+    // 2. Select + index the s_target lowest-priority blocks.  The
+    //    iteration's announcements, sorted once, are the flood's universe.
+    std::vector<announcement> anns;
+    anns.reserve(total_blocks);
+    for (node_id u = 0; u < n; ++u) {
+      anns.insert(anns.end(), own_anns[u].begin(), own_anns[u].end());
+    }
+    std::sort(anns.begin(), anns.end());
     bool fail_seen = false;
     std::vector<announcement> selected;
     bool empty_detected = false;
@@ -120,86 +118,45 @@ round_task<priority_forward_result> priority_forward_machine(
                    1, static_cast<std::size_t>(cfg.charged_factor *
                                                static_cast<double>(n)))));
       if (!fail_seen) {
-        for (node_id u = 0; u < n; ++u) {
-          for (const announcement& a : own_anns[u]) selected.push_back(a);
-        }
-        std::sort(selected.begin(), selected.end());
-        if (selected.size() > s_target) selected.resize(s_target);
+        selected.assign(anns.begin(),
+                        anns.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(s_target, anns.size())));
         empty_detected = selected.empty();
       }
     } else {
       // Batched min-flooding of announcements: anns_per_msg finalized per
       // O(n)-round phase (the paper's explicit O(n log n) fallback).
-      std::vector<std::set<announcement>> known(n);
-      std::vector<std::set<announcement>> finalized_set(n);
-      std::vector<bool> fail_bit(raise_fail.begin(), raise_fail.end());
-      for (node_id u = 0; u < n; ++u) {
-        known[u].insert(own_anns[u].begin(), own_anns[u].end());
+      min_flood flood(n, anns.size(), anns_per_msg, ann_bits, &raise_fail);
+      for (std::size_t i = 0; i < anns.size(); ++i) {
+        flood.add(std::get<1>(anns[i]), i);
       }
       const std::size_t phases = ceil_div(s_target, anns_per_msg);
       for (std::size_t phase = 0; phase < phases; ++phase) {
         for (std::size_t r = 0; r < n; ++r) {
-          net.step<ann_flood_msg>(
-              st,
-              [&](node_id u, rng&) -> std::optional<ann_flood_msg> {
-                ann_flood_msg m;
-                m.ann_bits = ann_bits;
-                m.fail = fail_bit[u];
-                for (const announcement& a : known[u]) {
-                  if (m.anns.size() >= anns_per_msg) break;
-                  m.anns.push_back(a);
-                }
-                if (m.anns.empty() && !m.fail) return std::nullopt;
-                return m;
-              },
-              [&](node_id u, const std::vector<const ann_flood_msg*>& inbox) {
-                for (const ann_flood_msg* m : inbox) {
-                  fail_bit[u] = fail_bit[u] || m->fail;
-                  for (const announcement& a : m->anns) {
-                    if (finalized_set[u].count(a) == 0) known[u].insert(a);
-                  }
-                }
-              });
+          flood.round(net, st);
           co_await next_round;
         }
         // After one full phase the fail bit has flooded everywhere; a
         // flagged iteration aborts before selecting (priorities go stale).
         if (phase == 0) {
-          bool any_fail = false;
-          bool any_known = false;
-          for (node_id u = 0; u < n; ++u) {
-            any_fail = any_fail || fail_bit[u];
-            any_known = any_known || !known[u].empty();
-          }
-          if (any_fail) {
+          if (flood.any_fail()) {
             fail_seen = true;
             break;
+          }
+          bool any_known = false;
+          for (node_id u = 0; u < n; ++u) {
+            any_known = any_known || flood.active(u).any();
           }
           if (!any_known) {
             empty_detected = true;
             break;
           }
         }
-        // Finalize the anns_per_msg smallest known announcements; the
-        // min-flood argument gives agreement across nodes (asserted).
-        std::vector<announcement> first;
-        for (node_id u = 0; u < n; ++u) {
-          std::vector<announcement> done;
-          for (const announcement& a : known[u]) {
-            if (done.size() >= anns_per_msg) break;
-            done.push_back(a);
-          }
-          if (u == 0) {
-            first = done;
-          } else {
-            NCDN_ASSERT(done == first);
-          }
-          for (const announcement& a : done) {
-            known[u].erase(a);
-            finalized_set[u].insert(a);
-          }
+        // Finalize the anns_per_msg smallest known announcements, the same
+        // everywhere (min-flood agreement).
+        for (std::size_t i : flood.agreed(/*consume=*/true)) {
+          selected.push_back(anns[i]);
         }
-        for (const announcement& a : first) selected.push_back(a);
       }
       std::sort(selected.begin(), selected.end());
     }

@@ -1,10 +1,10 @@
 #include "protocols/tstable_dissemination.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "core/bits.hpp"
 #include "protocols/greedy_forward.hpp"
+#include "protocols/min_flood.hpp"
 #include "protocols/random_forward.hpp"
 
 namespace ncdn {
@@ -76,15 +76,6 @@ struct gather_up_msg {
   std::size_t d_bits = 0;
   std::size_t bit_size() const noexcept {
     return tokens.size() * d_bits + 32;
-  }
-};
-
-struct block_ann_msg {
-  std::vector<node_id> holders;  // leader UIDs announcing a block
-  bool fail = false;
-  std::size_t uid_bits = 0;
-  std::size_t bit_size() const noexcept {
-    return holders.size() * uid_bits + 1;
   }
 };
 
@@ -199,37 +190,16 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
 
     // --- index blocks: flood the holders' UIDs (plus the fail bit) for n
     //     rounds; everyone selects the s_cap smallest consistently ---
-    std::vector<std::set<node_id>> known(n);
-    std::vector<bool> fail_bit(raise_fail.begin(), raise_fail.end());
+    min_flood holders(n, n, anns_per_msg, uid_bits, &raise_fail);
     std::fill(raise_fail.begin(), raise_fail.end(), false);
     for (node_id u = 0; u < n; ++u) {
-      if (bp.is_leader[u] && !gathered[u].empty()) known[u].insert(u);
+      if (bp.is_leader[u] && !gathered[u].empty()) holders.add(u, u);
     }
     for (std::size_t r = 0; r < n; ++r) {
-      net.step<block_ann_msg>(
-          st,
-          [&](node_id u, rng&) -> std::optional<block_ann_msg> {
-            block_ann_msg m;
-            m.uid_bits = uid_bits;
-            m.fail = fail_bit[u];
-            for (node_id h : known[u]) {
-              if (m.holders.size() >= anns_per_msg) break;
-              m.holders.push_back(h);
-            }
-            if (m.holders.empty() && !m.fail) return std::nullopt;
-            return m;
-          },
-          [&](node_id u, const std::vector<const block_ann_msg*>& inbox) {
-            for (const block_ann_msg* m : inbox) {
-              fail_bit[u] = fail_bit[u] || m->fail;
-              for (node_id h : m->holders) known[u].insert(h);
-            }
-          });
+      holders.round(net, st);
       co_await next_round;
     }
-    bool fail_seen = false;
-    for (node_id u = 0; u < n; ++u) fail_seen = fail_seen || fail_bit[u];
-    if (fail_seen) {
+    if (holders.any_fail()) {
       for (node_id u = 0; u < n; ++u) {
         for (std::size_t tk : last_epoch_tokens[u]) st.reinstate(u, tk);
         last_epoch_tokens[u].clear();
@@ -237,22 +207,11 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
       continue;
     }
     for (auto& v : last_epoch_tokens) v.clear();
-    // Only the s_cap smallest holder UIDs are guaranteed to have flooded
-    // to everyone (each message carries anns_per_msg >= s_cap of them, and
-    // min-flooding spreads the smallest set reliably in n rounds); the
-    // selection is their sorted prefix, on which all nodes agree.
-    auto prefix = [&](node_id u) {
-      std::vector<node_id> out;
-      for (node_id h : known[u]) {
-        if (out.size() >= s_cap) break;
-        out.push_back(h);
-      }
-      return out;
-    };
-    const std::vector<node_id> selected = prefix(0);
-    for (node_id u = 1; u < n; ++u) {
-      NCDN_ASSERT(prefix(u) == selected);  // min-flood agreement
-    }
+    // The anns_per_msg smallest holder UIDs have flooded to everyone in n
+    // rounds, so all nodes agree on them; the selection is their s_cap
+    // smallest (s_cap <= anns_per_msg).
+    std::vector<std::size_t> selected = holders.agreed(/*consume=*/false);
+    if (selected.size() > s_cap) selected.resize(s_cap);
     if (selected.empty()) break;  // nothing left anywhere
 
     // --- patch broadcast of the selected blocks ---
