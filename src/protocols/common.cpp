@@ -30,4 +30,25 @@ payload_index::payload_index(const token_distribution& dist) {
   NCDN_ENSURES(map_.size() == dist.k());  // payloads are distinct
 }
 
+bitvec pack_block(const token_distribution& dist,
+                  std::span<const std::size_t> tokens,
+                  std::size_t item_bits) {
+  const std::size_t d = dist.d_bits;
+  bitvec block(item_bits);
+  const std::size_t slots = std::min(tokens.size(), item_bits / d);
+  for (std::size_t j = 0; j < slots; ++j) {
+    block.copy_bits_from(dist.tokens[tokens[j]].payload, 0, d, j * d);
+  }
+  return block;
+}
+
+void unpack_block(const bitvec& block, std::size_t d_bits,
+                  const payload_index& index, std::vector<std::size_t>& out) {
+  for (std::size_t j = 0; j < block.size() / d_bits; ++j) {
+    const bitvec payload = block.slice(j * d_bits, d_bits);
+    if (!payload.any()) continue;  // padding
+    out.push_back(index.at(payload.hash()));
+  }
+}
+
 }  // namespace ncdn

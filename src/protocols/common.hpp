@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -242,5 +243,17 @@ class payload_index {
  private:
   det::hash_map<std::uint64_t, std::size_t> map_;
 };
+
+/// An `item_bits`-bit block holding the d-bit payloads of the first
+/// item_bits / d tokens of `tokens` (all of them if fewer), back to back
+/// from bit 0; the bits after them stay zero (padding).  The block form
+/// every coded broadcast of grouped tokens seeds.
+bitvec pack_block(const token_distribution& dist,
+                  std::span<const std::size_t> tokens, std::size_t item_bits);
+
+/// The inverse of pack_block on a decoded block: appends to `out` the token
+/// of each d-bit slot, recognized through `index`, skipping zero padding.
+void unpack_block(const bitvec& block, std::size_t d_bits,
+                  const payload_index& index, std::vector<std::size_t>& out);
 
 }  // namespace ncdn

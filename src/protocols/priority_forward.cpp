@@ -180,12 +180,8 @@ round_task<priority_forward_result> priority_forward_machine(
     for (std::size_t i = 0; i < s; ++i) {
       const node_id origin = std::get<1>(selected[i]);
       const std::uint32_t idx = std::get<2>(selected[i]);
-      const std::vector<std::size_t>& blk = blocks[origin][idx];
-      bitvec payload(block_bits);
-      for (std::size_t j = 0; j < blk.size(); ++j) {
-        payload.copy_bits_from(dist.tokens[blk[j]].payload, 0, d, j * d);
-      }
-      session.seed(origin, i, payload);
+      session.seed(origin, i,
+                   pack_block(dist, blocks[origin][idx], block_bits));
     }
     const round_t bc_rounds = static_cast<round_t>(std::max<std::size_t>(
         1, static_cast<std::size_t>(cfg.broadcast_factor *
@@ -201,12 +197,7 @@ round_task<priority_forward_result> priority_forward_machine(
       }
       std::vector<std::size_t> decoded;
       for (std::size_t i = 0; i < s; ++i) {
-        const bitvec block = session.decode(u, i);
-        for (std::size_t j = 0; j < g; ++j) {
-          const bitvec payload = block.slice(j * d, d);
-          if (!payload.any()) continue;  // padding
-          decoded.push_back(by_payload.at(payload.hash()));
-        }
+        unpack_block(session.decode(u, i), d, by_payload, decoded);
       }
       for (std::size_t t : decoded) {
         st.learn(u, t);

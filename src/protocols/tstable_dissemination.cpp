@@ -81,8 +81,7 @@ struct gather_up_msg {
 
 /// §8.3 mode B: patch-pipelined gathering + patch broadcast.
 round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
-                                                const tstable_config& cfg,
-                                                const engine_sizing& sizing) {
+                                                const tstable_config& cfg) {
   const token_distribution& dist = st.distribution();
   const std::size_t n = dist.n;
   const std::size_t d = dist.d_bits;
@@ -219,12 +218,8 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     bc_plan.items = selected.size();
     tstable_patch_session session(bc_plan);
     for (std::size_t i = 0; i < selected.size(); ++i) {
-      bitvec block(plan.item_bits);
-      for (std::size_t j = 0; j < gathered[selected[i]].size(); ++j) {
-        block.copy_bits_from(dist.tokens[gathered[selected[i]][j]].payload,
-                             0, d, j * d);
-      }
-      session.seed(selected[i], i, block);
+      session.seed(selected[i], i,
+                   pack_block(dist, gathered[selected[i]], plan.item_bits));
     }
     co_await session.run_stepped(net, bc_cap, /*stop_early=*/true);
 
@@ -235,12 +230,7 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
       }
       std::vector<std::size_t> decoded;
       for (std::size_t i = 0; i < selected.size(); ++i) {
-        const bitvec block = session.decode(u, i);
-        for (std::size_t j = 0; j < cap_tokens; ++j) {
-          const bitvec payload = block.slice(j * d, d);
-          if (!payload.any()) continue;
-          decoded.push_back(by_payload.at(payload.hash()));
-        }
+        unpack_block(session.decode(u, i), d, by_payload, decoded);
       }
       for (std::size_t tk : decoded) {
         st.learn(u, tk);
@@ -260,7 +250,6 @@ round_task<tstable_result> patch_gather_machine(network& net, token_state& st,
     res.completion_round = res.rounds;
   }
   res.max_message_bits = net.max_observed_message_bits();
-  (void)sizing;
   co_return res;
 }
 
@@ -275,7 +264,7 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
 
   const engine_sizing sizing = choose_engine(cfg, n, d);
   if (sizing.engine == tstable_engine::patch_gather) {
-    co_return co_await patch_gather_machine(net, st, cfg, sizing);
+    co_return co_await patch_gather_machine(net, st, cfg);
   }
   if (sizing.engine == tstable_engine::plain) {
     // Ordinary greedy-forward: the T-independent control arm.
@@ -351,32 +340,22 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
 
     auto seed_items = [&](auto& session) {
       for (std::size_t i = 0; i < k_items; ++i) {
-        bitvec block(sizing.item_bits);
-        for (std::size_t j = 0; j < sizing.tokens_per_item; ++j) {
-          const std::size_t idx = i * sizing.tokens_per_item + j;
-          if (idx >= chosen.size()) break;
-          block.copy_bits_from(dist.tokens[chosen[idx]].payload, 0, d, j * d);
-        }
-        session.seed(leader, i, block);
+        const std::size_t first = i * sizing.tokens_per_item;
+        session.seed(leader, i,
+                     pack_block(dist, std::span(chosen).subspan(first),
+                                sizing.item_bits));
       }
     };
 
-    bool decoded_everywhere = false;
     std::vector<std::vector<std::size_t>> decoded_of(n);
     auto harvest = [&](const auto& session) {
-      decoded_everywhere = session.all_complete();
       for (node_id u = 0; u < n; ++u) {
         if (!session.node_complete(u)) {
           raise_fail[u] = true;
           continue;
         }
         for (std::size_t i = 0; i < k_items; ++i) {
-          const bitvec block = session.decode(u, i);
-          for (std::size_t j = 0; j < sizing.tokens_per_item; ++j) {
-            const bitvec payload = block.slice(j * d, d);
-            if (!payload.any()) continue;
-            decoded_of[u].push_back(by_payload.at(payload.hash()));
-          }
+          unpack_block(session.decode(u, i), d, by_payload, decoded_of[u]);
         }
       }
     };
@@ -404,7 +383,6 @@ round_task<tstable_result> tstable_machine(network& net, token_state& st,
       }
       last_epoch_tokens[u] = std::move(decoded_of[u]);
     }
-    (void)decoded_everywhere;
 
     if (res.completion_round == 0 && st.all_complete()) {
       res.completion_round = net.rounds_elapsed() - start;
