@@ -15,6 +15,22 @@
 // a failure flag in the next epoch's max-identification flood; on a flagged
 // epoch every decoded node reinstates that epoch's tokens, so nothing is
 // ever permanently lost to a low-probability coding failure.
+//
+// Completion round: completion_round is the end of the epoch whose coded
+// broadcast finishes the run, the first epoch boundary at which every node
+// has decoded every token.  The session's per-round observer can disagree
+// in both directions:
+//   - relays learn the tokens that random-forward passes through them, so
+//     gathering alone can hand every node every token long before that
+//     epoch ends (permuted-path at n = 16, seed 1: observed_complete 12,
+//     completion_round 128);
+//   - a coded round reports decoder ranks, not tokens, so when the last
+//     tokens arrive only by decoding at the epoch's end the observer first
+//     sees them one round later, in the next epoch's first gather round
+//     (as for naive-indexed).
+// Hence metrics.observed_completion_round <= completion_round + 1; the
+// committed goldens carry both fields, and tests/test_registry.cpp pins
+// the relation.
 #pragma once
 
 #include "coding/budget.hpp"

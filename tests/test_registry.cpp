@@ -433,6 +433,41 @@ TEST(session, naive_indexed_completes_one_round_before_the_observer_sees_it) {
   // offset at n = k = 128.
 }
 
+TEST(session, greedy_forward_completion_round_bounds_the_observer) {
+  // greedy-forward reports the end of the epoch whose broadcast finishes
+  // the run; the observer sees every token known no more than one round
+  // after that (the next gather round), and often far earlier, because
+  // gathering relays tokens through every node.
+  problem prob;
+  prob.n = 16;
+  prob.k = 16;
+  prob.d = 8;
+  prob.b = 32;
+  std::size_t earlier = 0;
+  std::size_t one_after = 0;
+  for (const char* topo : {"permuted-path", "random-connected",
+                           "static-star", "sorted-path"}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      session s(prob, protocol_spec{"greedy-forward", {}},
+                adversary_spec{topo, {}}, seed);
+      const run_report rep = s.run_to_completion();
+      ASSERT_TRUE(rep.complete) << topo << " seed " << seed;
+      const round_t observed = rep.metrics.observed_completion_round;
+      EXPECT_LE(observed, rep.completion_round + 1)
+          << topo << " seed " << seed;
+      if (observed < rep.completion_round) ++earlier;
+      if (observed == rep.completion_round + 1) ++one_after;
+      if (std::string(topo) == "permuted-path" && seed == 1) {
+        EXPECT_EQ(observed, 12u);
+        EXPECT_EQ(rep.completion_round, 128u);
+      }
+    }
+  }
+  // Both sides of the bound occur on these cells.
+  EXPECT_GT(earlier, 0u);
+  EXPECT_GT(one_after, 0u);
+}
+
 TEST(token_state, learn_on_retired_token_stays_constant_time) {
   // The retirement mask is pre-reserved from dist.k() at construction, so
   // learning a globally retired token is a bit probe + counter bump and
