@@ -54,10 +54,8 @@ counting_result run_counting(network& net, const counting_config& cfg) {
   NCDN_EXPECTS(cfg.b_bits >= ub);
   opaque_view view(n);
 
-  // Self-generated UIDs (uid 0 is reserved as block padding).  The UID
-  // flood runs over UID - 1, in the same order: `seen` holds every UID a
-  // node has heard of, across attempts; `active` its UIDs not yet finalized
-  // (flooding) or retired (coding) in the current attempt.
+  // Self-generated UIDs (uid 0 is reserved as block padding); the UID
+  // flood runs over UID - 1 (see the header).
   auto uid_of = [](node_id u) { return static_cast<uid_t>(u + 1); };
   auto node_of = [](uid_t id) { return static_cast<node_id>(id - 1); };
   const std::size_t batch = std::max<std::size_t>(1, cfg.b_bits / ub);

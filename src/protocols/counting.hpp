@@ -15,6 +15,11 @@
 //   flooding — batched UID min-flood, O(n̂^2 d / b) rounds per attempt;
 //   coding   — gather + network-coded block broadcast (greedy-forward
 //              structure), O(n̂^2 d / b^2 + n̂ b) rounds per attempt.
+// Both keep their UID sets in one protocols/min_flood.hpp instance over
+// UID - 1: `seen` holds every UID a node has heard of, across attempts;
+// `active` is reset to it per attempt and holds the UIDs still to finalize
+// (flooding) or retire (coding).  The coding engine's random UID
+// forwarding sends the same message and merges it the same way.
 //
 // Substitution (DESIGN.md §5): verification compares 64-bit set checksums,
 // a with-high-probability equality test standing in for the paper's exact

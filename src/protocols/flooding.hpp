@@ -20,9 +20,11 @@
 // T-stable comparison (experiment E8) plots, and it can only flatter the
 // baseline the paper's coding algorithms are compared against.
 //
-// State: one k-bit mask per node of its known, unfinalized payload ranks
-// (plus, pipelined, one of the ranks not yet streamed this pass); a message
-// is a mask's first B set bits.  Memory: 2 * n * ceil(k/64) words.
+// Both variants run on protocols/min_flood.hpp over payload ranks: per
+// node a `seen` mask of the ranks it knows and an `active` mask of those
+// not yet finalized (phased) or not yet streamed this pass (pipelined); a
+// message is the active mask's first B set bits.  Memory: 2 * n *
+// ceil(k/64) words.
 #pragma once
 
 #include "core/machine.hpp"

@@ -35,7 +35,7 @@ class min_flood {
   };
 
   struct message {
-    std::vector<std::size_t> items;  // universe indices, ascending
+    std::vector<std::size_t> items;  // universe indices
     bool fail = false;
     std::size_t item_bits = 0;
     bool fail_channel = false;
