@@ -107,8 +107,9 @@ counting_result run_counting(network& net, const counting_config& cfg) {
                   std::swap(pool[i], pool[j]);
                 }
                 pool.resize(take);
-                return min_flood::message{.items = std::move(pool),
-                                          .item_bits = ub};
+                return min_flood::message{
+                    .items = std::move(pool),
+                    .item_bits = static_cast<std::uint32_t>(ub)};
               },
               [&](node_id u,
                   const std::vector<const min_flood::message*>& inbox) {

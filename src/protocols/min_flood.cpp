@@ -9,12 +9,12 @@ min_flood::min_flood(std::size_t nodes, std::size_t universe,
                      const std::vector<bool>* fail)
     : universe_(universe),
       batch_(batch),
-      item_bits_(item_bits),
+      item_bits_(static_cast<std::uint32_t>(item_bits)),
       fail_channel_(fail != nullptr),
       seen_(nodes, bitvec(universe)),
       active_(nodes, bitvec(universe)),
       fail_(fail != nullptr ? *fail : std::vector<bool>(nodes, false)) {
-  NCDN_EXPECTS(batch >= 1);
+  NCDN_EXPECTS(batch >= 1 && item_bits <= UINT32_MAX);
   NCDN_EXPECTS(fail_.size() == nodes);
 }
 

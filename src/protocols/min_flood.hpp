@@ -19,6 +19,7 @@
 // Wire: items * item_bits, plus 1 with the fail channel on.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -36,8 +37,8 @@ class min_flood {
 
   struct message {
     std::vector<std::size_t> items;  // universe indices
+    std::uint32_t item_bits = 0;
     bool fail = false;
-    std::size_t item_bits = 0;
     bool fail_channel = false;
     std::size_t bit_size() const noexcept {
       return items.size() * item_bits + (fail_channel ? 1 : 0);
@@ -76,7 +77,7 @@ class min_flood {
     net.step<message>(
         view,
         [&](node_id u, rng&) -> std::optional<message> {
-          message m{smallest(u, consume), fail_[u], item_bits_,
+          message m{smallest(u, consume), item_bits_, fail_[u],
                     fail_channel_};
           if (m.items.empty() && !m.fail) return std::nullopt;
           return m;
@@ -111,7 +112,7 @@ class min_flood {
  private:
   std::size_t universe_;
   std::size_t batch_;
-  std::size_t item_bits_;
+  std::uint32_t item_bits_;
   bool fail_channel_;
   std::vector<bitvec> seen_;
   std::vector<bitvec> active_;
