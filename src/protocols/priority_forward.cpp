@@ -143,11 +143,7 @@ round_task<priority_forward_result> priority_forward_machine(
             fail_seen = true;
             break;
           }
-          bool any_known = false;
-          for (node_id u = 0; u < n; ++u) {
-            any_known = any_known || flood.active(u).any();
-          }
-          if (!any_known) {
+          if (anns.empty()) {
             empty_detected = true;
             break;
           }
